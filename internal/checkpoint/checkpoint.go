@@ -2,12 +2,13 @@
 // run: a versioned, CRC-checksummed binary codec for the full optimizer
 // state (positions, Nesterov/BB history, density weight, smoothing schedule
 // position, iteration counter) plus a config fingerprint that refuses to
-// resume under a mismatched netlist, grid, or worker setup.
+// resume under a mismatched netlist, grid, model, or optimizer setup.
 //
-// Because the evaluation pipeline is deterministic at a fixed worker count,
-// a run restored from a snapshot finishes with bit-identical positions and
-// HPWL to one that was never interrupted — the codec therefore captures the
-// state exactly (float bit patterns, not decimal round-trips).
+// Because the evaluation pipeline computes the same bits at every worker
+// count, a run restored from a snapshot, at any width, finishes with
+// bit-identical positions and HPWL to one that was never interrupted — the
+// codec therefore captures the state exactly (float bit patterns, not
+// decimal round-trips).
 //
 // Files are written atomically (temp file + rename in the same directory),
 // so a crash mid-write never corrupts the previous snapshot; WriteRotating
@@ -25,9 +26,12 @@ import (
 )
 
 // Magic identifies a snapshot file; Version is the current format revision.
+// Version 3 dropped the worker count from the fingerprint; files of older
+// versions fail Decode with ErrVersion, so resume scans skip them and the
+// run cold-starts.
 const (
 	Magic   = "MEGPCKPT"
-	Version = 2
+	Version = 3
 )
 
 // Typed decode failures. Every malformed input maps onto one of these
@@ -46,9 +50,9 @@ var (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Fingerprint pins a snapshot to the exact run configuration it came from.
-// Resume is refused unless every field matches: determinism (and therefore
-// bit-exact resume) holds only for the same netlist, grid, worker count,
-// model, and optimizer.
+// Resume is refused unless every field matches: bit-exact resume holds only
+// for the same netlist, grid, model, and optimizer. The worker count is
+// absent because every width computes the same bits.
 type Fingerprint struct {
 	Design     string
 	NumCells   int
@@ -58,7 +62,6 @@ type Fingerprint struct {
 	NumFillers int
 	GridX      int
 	GridY      int
-	Workers    int
 	Model      string
 	Optimizer  string
 	Seed       int64
@@ -89,7 +92,6 @@ func (f Fingerprint) Match(other Fingerprint) error {
 		{"fillers", f.NumFillers, other.NumFillers},
 		{"grid_x", f.GridX, other.GridX},
 		{"grid_y", f.GridY, other.GridY},
-		{"workers", f.Workers, other.Workers},
 		{"model", f.Model, other.Model},
 		{"optimizer", f.Optimizer, other.Optimizer},
 		{"seed", f.Seed, other.Seed},
@@ -308,7 +310,6 @@ func Encode(s *Snapshot) []byte {
 	p.i64(int64(f.NumFillers))
 	p.i64(int64(f.GridX))
 	p.i64(int64(f.GridY))
-	p.i64(int64(f.Workers))
 	p.str(f.Model)
 	p.str(f.Optimizer)
 	p.i64(f.Seed)
@@ -410,7 +411,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	f.NumFillers = int(d.i64())
 	f.GridX = int(d.i64())
 	f.GridY = int(d.i64())
-	f.Workers = int(d.i64())
 	f.Model = d.str()
 	f.Optimizer = d.str()
 	f.Seed = d.i64()

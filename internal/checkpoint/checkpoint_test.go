@@ -19,7 +19,7 @@ func sampleSnapshot() *Snapshot {
 	return &Snapshot{
 		Fingerprint: Fingerprint{
 			Design: "newblue1", NumCells: 12, NumNets: 9, NumPins: 31,
-			NumMovable: 3, NumFillers: 2, GridX: 32, GridY: 16, Workers: 4,
+			NumMovable: 3, NumFillers: 2, GridX: 32, GridY: 16,
 			Model: "ME", Optimizer: "nesterov", Seed: 7,
 			TargetDensity: 0.85,
 			RegionXL:      -1.5, RegionYL: 0, RegionXH: 100.25, RegionYH: 50,
@@ -121,7 +121,6 @@ func TestFingerprintMatch(t *testing.T) {
 	muts := map[string]func(*Fingerprint){
 		"design":    func(f *Fingerprint) { f.Design = "other" },
 		"cells":     func(f *Fingerprint) { f.NumCells++ },
-		"workers":   func(f *Fingerprint) { f.Workers = 8 },
 		"model":     func(f *Fingerprint) { f.Model = "WA" },
 		"optimizer": func(f *Fingerprint) { f.Optimizer = "adam" },
 		"grid":      func(f *Fingerprint) { f.GridX *= 2 },

@@ -106,7 +106,7 @@ func TestLoadLatestMatchingSkipsMismatched(t *testing.T) {
 	}
 	tweaked := sampleSnapshot()
 	tweaked.Iter = 20
-	tweaked.Fingerprint.Workers = 99 // config tweak mid-directory
+	tweaked.Fingerprint.Seed = 99 // config tweak mid-directory
 	if err := WriteFile(filepath.Join(dir, FileName(20)), tweaked); err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func BenchmarkElectroSolve(b *testing.B) {
 }
 
 // BenchmarkStamp measures one full movable-cell scatter (50k smoothed
-// footprints) onto a 256x256 grid, including the per-worker reduction.
+// footprints) onto a 256x256 grid, split into one row band per worker.
 func BenchmarkStamp(b *testing.B) {
 	const nCells = 50000
 	region := geom.Rect{XL: 0, YL: 0, XH: 1000, YH: 1000}

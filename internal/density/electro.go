@@ -93,8 +93,7 @@ type Electro struct {
 	rsSine     bool
 	fnRowSynth func(w, lo, hi int)
 
-	fnFill   func(w, lo, hi int)
-	fnEnergy func(w, lo, hi int) float64
+	fnFill func(w, lo, hi int)
 }
 
 // NewElectro builds a serial solver bound to grid g.
@@ -220,13 +219,6 @@ func (e *Electro) buildLoopBodies() {
 			e.Rho[i] = (e.g.Density[i] + e.g.FixedDensity[i]) * invBin
 		}
 	}
-	e.fnEnergy = func(_, lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += e.g.Density[i] * e.Psi[i]
-		}
-		return s
-	}
 }
 
 // Workers returns the solver's worker-pool size.
@@ -305,11 +297,14 @@ func (e *Electro) Solve() {
 }
 
 // Energy returns the total electrostatic energy sum_b q_b * psi_b over the
-// movable charge, the ePlace density penalty D of Eq. (1). Partial sums are
-// reduced in worker order, so the value is deterministic for a fixed worker
-// count.
+// movable charge, the ePlace density penalty D of Eq. (1), summed in bin
+// order.
 func (e *Electro) Energy() float64 {
-	return parallel.SumOrdered(e.workers, len(e.g.Density), e.fnEnergy)
+	s := 0.0
+	for i, q := range e.g.Density {
+		s += q * e.Psi[i]
+	}
+	return s
 }
 
 // Grid returns the bound grid.

@@ -9,26 +9,24 @@ import (
 )
 
 // parallelWorkerCounts are the pool sizes every parallel path must match the
-// serial path for: 1 (the serial fast path itself), an even split, and a
-// prime that leaves ragged chunks.
-var parallelWorkerCounts = []int{1, 2, 7}
+// serial path for, bit for bit: 1 (the serial path itself), even splits,
+// primes that leave ragged chunks, and a pool as wide as some grids.
+var parallelWorkerCounts = []int{1, 2, 3, 7, 16}
 
-func maxRelDiff(a, b []float64) float64 {
-	worst := 0.0
+// firstDiff returns the first index where a and b differ (!=), or -1.
+func firstDiff(a, b []float64) int {
 	for i := range a {
-		d := math.Abs(a[i]-b[i]) / math.Max(1, math.Abs(b[i]))
-		if d > worst {
-			worst = d
+		if a[i] != b[i] {
+			return i
 		}
 	}
-	return worst
+	return -1
 }
 
 // TestElectroParallelMatchesSerial solves the same charge distribution with
-// the serial solver and with worker pools, comparing potential and field.
-// The parallel transform computes every output vector with the same
-// arithmetic as the serial path, so the match is exact; 1e-12 is the
-// documented contract.
+// the serial solver and with worker pools, comparing potential, field and
+// energy. Every output vector is computed with the same arithmetic as the
+// serial path, so the match is exact (==).
 func TestElectroParallelMatchesSerial(t *testing.T) {
 	for _, dims := range [][2]int{{32, 32}, {64, 16}} {
 		nx, ny := dims[0], dims[1]
@@ -38,27 +36,33 @@ func TestElectroParallelMatchesSerial(t *testing.T) {
 		for i := range rho {
 			rho[i] = rng.Float64()
 		}
+		solve := func(e *Electro) {
+			copy(e.Rho, rho)
+			copy(e.Grid().Density, rho)
+			e.Solve()
+		}
 
 		serial := NewElectro(NewGrid(region, nx, ny))
-		copy(serial.Rho, rho)
-		serial.Solve()
+		solve(serial)
 
 		for _, workers := range parallelWorkerCounts {
 			e := NewElectroWorkers(NewGrid(region, nx, ny), workers)
-			if e.Workers() != workers && workers >= 1 {
+			if e.Workers() != workers {
 				t.Fatalf("Workers() = %d, want %d", e.Workers(), workers)
 			}
-			copy(e.Rho, rho)
-			e.Solve()
+			solve(e)
 			for name, pair := range map[string][2][]float64{
 				"Coeff": {e.Coeff, serial.Coeff},
 				"Psi":   {e.Psi, serial.Psi},
 				"Ex":    {e.Ex, serial.Ex},
 				"Ey":    {e.Ey, serial.Ey},
 			} {
-				if d := maxRelDiff(pair[0], pair[1]); d > 1e-12 {
-					t.Errorf("%dx%d workers=%d: %s max rel diff %g > 1e-12", nx, ny, workers, name, d)
+				if i := firstDiff(pair[0], pair[1]); i >= 0 {
+					t.Errorf("%dx%d workers=%d: %s[%d] = %v, serial %v", nx, ny, workers, name, i, pair[0][i], pair[1][i])
 				}
+			}
+			if got, want := e.Energy(), serial.Energy(); got != want {
+				t.Errorf("%dx%d workers=%d: energy %v, serial %v", nx, ny, workers, got, want)
 			}
 		}
 	}
@@ -105,7 +109,7 @@ func testCells(n int, region geom.Rect, seed int64) (cx, cy, w, h []float64) {
 }
 
 // TestStamperMatchesSerial stamps the same cell set serially and through
-// worker pools and compares the density maps and overflow.
+// worker pools and demands bit-identical density maps and overflow.
 func TestStamperMatchesSerial(t *testing.T) {
 	region := geom.Rect{XL: 0, YL: 0, XH: 64, YH: 64}
 	const n = 500
@@ -122,17 +126,13 @@ func TestStamperMatchesSerial(t *testing.T) {
 		g := NewGrid(region, 32, 32)
 		g.StampFixedRect(5, 5, 20, 12, 1)
 		s := NewStamper(g, workers)
-		if s.Workers() < 1 {
-			t.Fatalf("Workers() = %d", s.Workers())
-		}
 		s.StampSmoothed(n, func(i int) (float64, float64, float64, float64) {
 			return cx[i], cy[i], w[i], h[i]
 		})
-		if d := maxRelDiff(g.Density, serial.Density); d > 1e-12 {
-			t.Errorf("workers=%d: density max rel diff %g > 1e-12", workers, d)
+		if i := firstDiff(g.Density, serial.Density); i >= 0 {
+			t.Errorf("workers=%d: density[%d] = %v, serial %v", workers, i, g.Density[i], serial.Density[i])
 		}
-		phi := g.OverflowWorkers(0.9, float64(n), workers)
-		if rel := math.Abs(phi-wantPhi) / math.Max(1, wantPhi); rel > 1e-12 {
+		if phi := g.Overflow(0.9, float64(n)); phi != wantPhi {
 			t.Errorf("workers=%d: overflow %v vs serial %v", workers, phi, wantPhi)
 		}
 	}
@@ -157,27 +157,23 @@ func TestStamperAccumulates(t *testing.T) {
 	}
 }
 
-// TestStamperFewerCellsThanWorkers covers the clamped-pool path (stale
-// partials of inactive workers must not leak into the reduction).
+// TestStamperFewerCellsThanWorkers covers pools wider than the cell count
+// and than the grid's row count (the pool clamps to one row per worker).
 func TestStamperFewerCellsThanWorkers(t *testing.T) {
 	region := geom.Rect{XL: 0, YL: 0, XH: 32, YH: 32}
 	serial := NewGrid(region, 16, 16)
 	serial.StampSmoothed(10, 10, 3, 3)
 	serial.StampSmoothed(20, 20, 3, 3)
 
-	g := NewGrid(region, 16, 16)
-	s := NewStamper(g, 7)
 	coords := [][4]float64{{10, 10, 3, 3}, {20, 20, 3, 3}}
-	// Stamp a big batch first so worker partials hold stale nonzero data.
-	s.StampSmoothed(300, func(i int) (float64, float64, float64, float64) {
-		return 16, 16, 1, 1
-	})
-	g.Clear()
-	s.StampSmoothed(len(coords), func(i int) (float64, float64, float64, float64) {
-		c := coords[i]
-		return c[0], c[1], c[2], c[3]
-	})
-	if d := maxRelDiff(g.Density, serial.Density); d > 1e-12 {
-		t.Fatalf("clamped-pool stamp diverges from serial: max rel diff %g", d)
+	for _, workers := range []int{7, 32} {
+		g := NewGrid(region, 16, 16)
+		NewStamper(g, workers).StampSmoothed(len(coords), func(i int) (float64, float64, float64, float64) {
+			c := coords[i]
+			return c[0], c[1], c[2], c[3]
+		})
+		if i := firstDiff(g.Density, serial.Density); i >= 0 {
+			t.Fatalf("workers=%d: density[%d] = %v, serial %v", workers, i, g.Density[i], serial.Density[i])
+		}
 	}
 }

@@ -171,14 +171,13 @@ func TestKeyFileNameRoundTrip(t *testing.T) {
 }
 
 func TestConfigFingerprintKeySensitivity(t *testing.T) {
-	base := ConfigFingerprint{Model: "ME", GridX: 64, GridY: 64, MaxIters: 500, Seed: 1, Workers: 4}
+	base := ConfigFingerprint{Model: "ME", GridX: 64, GridY: 64, MaxIters: 500, Seed: 1}
 	k := base.Key()
 	edits := map[string]func(*ConfigFingerprint){
 		"model":     func(f *ConfigFingerprint) { f.Model = "WA" },
 		"grid":      func(f *ConfigFingerprint) { f.GridX = 128 },
 		"iters":     func(f *ConfigFingerprint) { f.MaxIters = 400 },
 		"seed":      func(f *ConfigFingerprint) { f.Seed = 2 },
-		"workers":   func(f *ConfigFingerprint) { f.Workers = 8 },
 		"gponly":    func(f *ConfigFingerprint) { f.GPOnly = true },
 		"schedule":  func(f *ConfigFingerprint) { f.Schedule = "tangent" },
 		"precond":   func(f *ConfigFingerprint) { f.Precondition = true },

@@ -9,9 +9,9 @@ import (
 // placement a job produces. Two jobs with equal design hashes and equal
 // fingerprints are the same computation, so the cached result of one answers
 // the other exactly. Display-only knobs (trajectory recording, observability,
-// timeouts) are deliberately absent; worker count participates because the
-// parallel reduction order makes results worker-count dependent at the bit
-// level, and bit-identical replay is exactly what an exact hit promises.
+// timeouts) are deliberately absent, and so is the worker count: the engine
+// computes the same bits at every width, so a result placed at one width
+// answers a request at any other.
 type ConfigFingerprint struct {
 	Model         string
 	GridX, GridY  int
@@ -26,7 +26,6 @@ type ConfigFingerprint struct {
 	Optimizer     string
 	Schedule      string
 	Precondition  bool
-	Workers       int
 	// Flow shape: which stages ran after global placement.
 	GPOnly       bool
 	SkipDetailed bool
@@ -41,10 +40,10 @@ type ConfigFingerprint struct {
 // over an unambiguous textual rendering of every field).
 func (f ConfigFingerprint) Key() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "m=%s|g=%dx%d|td=%x|it=%d|so=%x|g0=%x|t0=%x|dl=%x|nf=%t|s=%d|in=%s|op=%s|sc=%s|pc=%t|w=%d|go=%t|sd=%t|ut=%t|gd=%t|gr=%d",
+	fmt.Fprintf(h, "m=%s|g=%dx%d|td=%x|it=%d|so=%x|g0=%x|t0=%x|dl=%x|nf=%t|s=%d|in=%s|op=%s|sc=%s|pc=%t|go=%t|sd=%t|ut=%t|gd=%t|gr=%d",
 		f.Model, f.GridX, f.GridY, f.TargetDensity, f.MaxIters, f.StopOverflow,
 		f.Gamma0, f.T0, f.Delta, f.NoFillers, f.Seed, f.Init, f.Optimizer,
-		f.Schedule, f.Precondition, f.Workers, f.GPOnly, f.SkipDetailed, f.UseTetris,
+		f.Schedule, f.Precondition, f.GPOnly, f.SkipDetailed, f.UseTetris,
 		f.Guard, f.GuardRetries)
 	return h.Sum64()
 }

@@ -1141,7 +1141,10 @@ func (c *Coordinator) dispatchPending() {
 	sort.SliceStable(batch, func(a, b int) bool { return batch[a].class < batch[b].class })
 	var still []*fleetJob
 	for _, j := range batch {
-		if j.terminal { // cancelled while pending
+		c.mu.Lock()
+		cancelled := j.terminal // cancelled while pending
+		c.mu.Unlock()
+		if cancelled {
 			continue
 		}
 		if !c.assign(j) {

@@ -71,10 +71,17 @@ func TestECOParentRouting(t *testing.T) {
 
 // TestSpecKeyIgnoresParentAndResume pins the routing-key contract the ECO
 // path depends on: rewriting the parent reference (or attaching a resume
-// pointer during re-route) must not change where a spec ranks.
+// pointer during re-route) must not change where a spec ranks, and neither
+// must the placer's worker count, which never changes the result.
 func TestSpecKeyIgnoresParentAndResume(t *testing.T) {
 	base := fastSpec(3)
 	k := SpecKey(base)
+
+	wider := base
+	wider.Placer.Workers = base.Placer.Workers + 3
+	if SpecKey(wider) != k {
+		t.Error("placer worker count changed the spec key")
+	}
 
 	withParent := base
 	withParent.Parent = "job-000042"

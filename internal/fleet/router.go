@@ -17,10 +17,14 @@ import (
 // job (which carries a resume pointer) must keep the original's key. The
 // parent reference is excluded too — it is rewritten to a worker-local job ID
 // during routing, and an ECO child adopts its parent's key outright so it
-// lands on the node holding the parent's cached placement.
+// lands on the node holding the parent's cached placement. The placer worker
+// count is excluded because it changes only speed, never the result, so a
+// spec resubmitted at another width still finds its cached placement and
+// checkpoints.
 func SpecKey(spec service.JobSpec) uint64 {
 	spec.Resume = nil
 	spec.Parent = ""
+	spec.Placer.Workers = 0
 	data, err := json.Marshal(spec)
 	if err != nil {
 		return 0 // unreachable for a decoded spec; 0 just degrades ranking

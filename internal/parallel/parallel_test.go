@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 )
@@ -11,7 +10,7 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 5, 31, 100} {
 			hits := make([]int32, n)
 			For(workers, n, func(w, lo, hi int) {
-				if w < 0 || w >= Active(workers, n) {
+				if w < 0 || w >= clampWorkers(workers, n) {
 					t.Errorf("workers=%d n=%d: worker index %d out of range", workers, n, w)
 				}
 				for i := lo; i < hi; i++ {
@@ -37,31 +36,5 @@ func TestForSerialRunsInline(t *testing.T) {
 	})
 	if calls != 1 {
 		t.Fatalf("serial For made %d calls", calls)
-	}
-}
-
-func TestSumOrderedDeterministic(t *testing.T) {
-	n := 1000
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Sin(float64(i)) * 1e3
-	}
-	sum := func(w, lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += vals[i]
-		}
-		return s
-	}
-	serial := SumOrdered(1, n, sum)
-	for _, workers := range []int{2, 3, 7} {
-		a := SumOrdered(workers, n, sum)
-		b := SumOrdered(workers, n, sum)
-		if a != b {
-			t.Fatalf("workers=%d: repeated SumOrdered differs: %v vs %v", workers, a, b)
-		}
-		if rel := math.Abs(a-serial) / math.Max(1, math.Abs(serial)); rel > 1e-12 {
-			t.Fatalf("workers=%d: parallel sum %v too far from serial %v (rel %g)", workers, a, serial, rel)
-		}
 	}
 }

@@ -17,14 +17,14 @@ func BenchmarkEvalGrad(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			d := testDesign(b, 6000, 4)
-			m, err := wirelength.ParallelByName("ME", workers)
+			m, err := wirelength.New("ME", workers, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
 			cfg := DefaultConfig(m)
 			cfg.Workers = workers
 			cfg.GridX, cfg.GridY = 128, 128
-			en, pos, err := newEngine(d, cfg, workers)
+			en, pos, err := newEngine(d, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

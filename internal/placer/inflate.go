@@ -34,7 +34,7 @@ type InflationResult struct {
 // InflateCongested grows the width of movable standard cells located in
 // congested bins of the current placement, proportionally to the bin's
 // demand ratio (capped at MaxRatio). The caller re-runs global placement
-// with KeepPositions=true afterwards; RestoreSizes undoes the inflation
+// with Init "keep" afterwards; RestoreSizes undoes the inflation
 // before legalization. Returns the per-cell original widths needed by
 // RestoreSizes.
 func InflateCongested(d *netlist.Design, opt InflateOptions) ([]float64, *InflationResult, error) {
@@ -131,7 +131,6 @@ func PlaceRoutabilityContext(ctx context.Context, d *netlist.Design, cfg Config,
 			break
 		}
 		incr := cfg
-		incr.KeepPositions = true
 		incr.Init = "keep"
 		// Incremental rounds need fewer iterations: start from the
 		// previous solution.

@@ -1,79 +1,96 @@
 package placer
 
 import (
-	"math"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/wirelength"
 )
 
-// evalOnce builds an engine at the given worker count and runs one full
-// objective/gradient evaluation (wirelength + stamping + spectral solve +
-// field gather) at the initial placement.
-func evalOnce(t *testing.T, workers int) (obj float64, grad []float64) {
+// testWidths are the worker counts the width-independence tests compare.
+var testWidths = []int{1, 2, 3, 7, 16}
+
+// evalOnce builds an engine, with its model, at the given worker count and
+// runs one full objective/gradient evaluation (wirelength + stamping +
+// overflow + spectral solve + field gather) at the initial placement.
+func evalOnce(t *testing.T, workers int) (obj, overflow float64, grad []float64) {
 	t.Helper()
 	d := testDesign(t, 600, 2)
-	cfg := DefaultConfig(wirelength.NewMoreau())
+	m, err := wirelength.New("ME", workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(m)
 	cfg.Workers = workers
-	en, pos, err := newEngine(d, cfg, workers)
+	en, pos, err := newEngine(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	en.param = 1.5
 	en.lambda = 1e-3
 	grad = make([]float64, len(pos))
-	return en.eval(pos, grad), grad
+	obj = en.eval(pos, grad)
+	return obj, en.overflow, grad
 }
 
-// TestEvalParallelMatchesSerial checks the documented 1e-12 contract for the
-// full evaluation pipeline: serial and parallel engines must agree on the
-// objective and every gradient component for ragged and even pool sizes.
-// The wirelength model is the same serial instance in every engine, so this
-// isolates the density pipeline (stamping, overflow, solve, gather).
+// TestEvalParallelMatchesSerial checks that the full evaluation pipeline
+// computes the same bits at every worker count: objective, overflow and
+// every gradient component equal (==) the serial engine's.
 func TestEvalParallelMatchesSerial(t *testing.T) {
-	refObj, refGrad := evalOnce(t, 1)
-	for _, workers := range []int{1, 2, 7} {
-		obj, grad := evalOnce(t, workers)
-		if rel := math.Abs(obj-refObj) / math.Max(1, math.Abs(refObj)); rel > 1e-12 {
-			t.Errorf("workers=%d: objective %v vs serial %v (rel %g)", workers, obj, refObj, rel)
+	refObj, refOverflow, refGrad := evalOnce(t, 1)
+	for _, workers := range testWidths {
+		obj, overflow, grad := evalOnce(t, workers)
+		if obj != refObj || overflow != refOverflow {
+			t.Errorf("workers=%d: objective %v, overflow %v; serial %v, %v", workers, obj, overflow, refObj, refOverflow)
 		}
 		for i := range grad {
-			if d := math.Abs(grad[i]-refGrad[i]) / math.Max(1, math.Abs(refGrad[i])); d > 1e-12 {
+			if grad[i] != refGrad[i] {
 				t.Fatalf("workers=%d: grad[%d] = %v vs serial %v", workers, i, grad[i], refGrad[i])
 			}
 		}
 	}
 }
 
-// TestPlaceParallelMatchesSerialRun runs a short full placement serially and
-// with a pool; with the deterministic per-worker reduction the trajectories
-// must track each other to high precision (identical iteration count and
-// near-identical final wirelength).
+// TestPlaceParallelMatchesSerialRun runs a short full placement at every
+// test width: positions, HPWL, trajectory and iteration count must equal
+// (==) the serial run's.
 func TestPlaceParallelMatchesSerialRun(t *testing.T) {
-	run := func(workers int) *Result {
+	run := func(workers int) (*Result, []float64, []float64) {
 		d := testDesign(t, 400, 0)
 		cfg := fastConfig(wirelength.NewMoreau())
 		cfg.MaxIters = 60
+		cfg.RecordEvery = 5
 		cfg.Workers = workers
 		res, err := Place(d, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, d.X, d.Y
 	}
-	serial := run(1)
-	par := run(3)
-	if par.Iterations != serial.Iterations {
-		t.Errorf("iterations: parallel %d vs serial %d", par.Iterations, serial.Iterations)
-	}
-	if rel := math.Abs(par.HPWL-serial.HPWL) / serial.HPWL; rel > 1e-6 {
-		t.Errorf("HPWL diverged: parallel %v vs serial %v (rel %g)", par.HPWL, serial.HPWL, rel)
+	serial, sx, sy := run(1)
+	for _, workers := range testWidths[1:] {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			par, px, py := run(workers)
+			if par.Iterations != serial.Iterations {
+				t.Errorf("iterations: parallel %d vs serial %d", par.Iterations, serial.Iterations)
+			}
+			if par.HPWL != serial.HPWL {
+				t.Errorf("HPWL: parallel %v vs serial %v", par.HPWL, serial.HPWL)
+			}
+			for c := range sx {
+				if px[c] != sx[c] || py[c] != sy[c] {
+					t.Fatalf("cell %d: parallel (%v,%v) vs serial (%v,%v)", c, px[c], py[c], sx[c], sy[c])
+				}
+			}
+			if !reflect.DeepEqual(par.Trajectory, serial.Trajectory) {
+				t.Errorf("trajectories differ")
+			}
+		})
 	}
 }
 
 // TestEffectiveWorkersDefault pins that an unset worker knob means serial.
-// (The deprecated WLWorkers alias lives only in the service JSON layer now;
-// its one pinning test is service.TestPlacerSpecWorkers.)
 func TestEffectiveWorkersDefault(t *testing.T) {
 	for _, c := range []struct{ workers, want int }{{0, 1}, {1, 1}, {4, 4}} {
 		cfg := Config{Workers: c.workers}

@@ -60,12 +60,10 @@ type Config struct {
 	// RecordEvery records a trajectory point (exact HPWL vs overflow)
 	// every that many iterations; 0 disables recording.
 	RecordEvery int
-	// KeepPositions starts from the design's input placement instead of
-	// the default ePlace center-with-jitter initialization.
-	KeepPositions bool
-	// Init selects the initial placement explicitly and overrides
-	// KeepPositions: "center" (ePlace default), "keep" (input positions),
-	// or "quadratic" (Bound2Bound quadratic placement, Kraftwerk2-style).
+	// Init selects the initial placement: "center" (the ePlace default,
+	// center with jitter; also selected by ""), "keep" (the design's input
+	// positions), or "quadratic" (Bound2Bound quadratic placement,
+	// Kraftwerk2-style).
 	Init string
 	// Optimizer selects the first-order method: "nesterov" (default),
 	// "adam", or "momentum" (ablation study).
@@ -81,12 +79,8 @@ type Config struct {
 	// Workers > 1 runs the whole evaluation pipeline — the wirelength
 	// model (which must be one of the named models), density stamping,
 	// the spectral Poisson solve, and the field gather — on a shared
-	// pool of that many goroutines. Results are deterministic for a
-	// fixed worker count (per-worker partials reduce in index order) and
-	// match the serial path up to floating-point addition order.
-	// (The old WLWorkers alias is gone from this struct; the service
-	// layer still accepts the wl_workers JSON knob and folds it into
-	// Workers before the config reaches the placer.)
+	// pool of that many goroutines. It changes only speed: a run computes
+	// the same bits at every worker count.
 	Workers int
 	// Obs, when non-nil, receives the run's observability streams:
 	// structured logs, per-phase trace spans (one per engine phase per
@@ -105,10 +99,10 @@ type Config struct {
 	Checkpoint CheckpointConfig
 	// Resume warm-starts the run from a snapshot instead of the usual
 	// initialization. The snapshot's config fingerprint must match this
-	// run (same design, grid, worker count, model, optimizer, seed);
-	// otherwise PlaceContext fails with checkpoint.ErrMismatch. With a
-	// matching setup the resumed run finishes bit-identical to an
-	// uninterrupted one.
+	// run (same design, grid, model, optimizer, seed); otherwise
+	// PlaceContext fails with checkpoint.ErrMismatch. With a matching setup
+	// the resumed run finishes bit-identical to an uninterrupted one, at
+	// any worker count.
 	Resume *checkpoint.Snapshot
 	// ResumeDir warm-starts the run from the newest snapshot in this
 	// directory whose config fingerprint matches the run, scanning
@@ -343,11 +337,9 @@ func (cfg *Config) effectiveWorkers() int {
 // dimensions, the initial position vector, and the projection operator. It
 // is the setup phase of PlaceContext, split out so equivalence tests and
 // benchmarks can drive engine.eval directly. cfg must already carry its
-// numeric defaults and a (possibly parallelized) model.
-func newEngine(d *netlist.Design, cfg Config, workers int) (*engine, []float64, error) {
-	if workers < 1 {
-		workers = 1
-	}
+// numeric defaults and a model built for cfg.Workers.
+func newEngine(d *netlist.Design, cfg Config) (*engine, []float64, error) {
+	workers := cfg.effectiveWorkers()
 	en := &engine{d: d, wlD: d, cfg: cfg, mov: d.MovableIndices(), workers: workers}
 	if cfg.Freeze != nil {
 		if len(cfg.Freeze) != d.NumCells() {
@@ -418,8 +410,7 @@ func newEngine(d *netlist.Design, cfg Config, workers int) (*engine, []float64, 
 		en.grid.StampFixedRect(r.XL, r.YL, r.XH, r.YH, 1)
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	en.setupFillers(rng)
+	en.setupFillers()
 
 	n := len(en.mov) + en.numFillers
 	pos := make([]float64, 2*n)
@@ -437,11 +428,7 @@ func newEngine(d *netlist.Design, cfg Config, workers int) (*engine, []float64, 
 	// Initial placement.
 	initMode := cfg.Init
 	if initMode == "" {
-		if cfg.KeepPositions {
-			initMode = "keep"
-		} else {
-			initMode = "center"
-		}
+		initMode = "center"
 	}
 	switch initMode {
 	case "center", "keep":
@@ -452,6 +439,7 @@ func newEngine(d *netlist.Design, cfg Config, workers int) (*engine, []float64, 
 	default:
 		return nil, nil, fmt.Errorf("placer: unknown init %q (want center, keep, or quadratic)", cfg.Init)
 	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	cx, cy := d.Region.Center().X, d.Region.Center().Y
 	jx := d.Region.W() * 0.001
 	jy := d.Region.H() * 0.001
@@ -598,22 +586,21 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 	workers := cfg.effectiveWorkers()
 	o := cfg.Obs
 	logger := o.Logger()
-	// With metrics enabled, rebuild the named model so its kernels share one
-	// branch-statistics counter; custom (unnamed) models stay untouched.
+	// Rebuild the named model on the worker pool and, with metrics enabled,
+	// with one branch-statistics counter shared by its kernels. A custom
+	// (unnamed) model stays untouched and runs serially.
 	var mstats *moreau.Stats
 	if o != nil && o.Metrics != nil {
 		mstats = &moreau.Stats{}
 	}
-	if workers > 1 {
-		pm, err := wirelength.ParallelByNameStats(cfg.Model.Name(), workers, mstats)
-		if err != nil {
+	if workers > 1 || mstats != nil {
+		m, err := wirelength.New(cfg.Model.Name(), workers, mstats)
+		switch {
+		case err == nil:
+			cfg.Model = m
+		case workers > 1:
 			return nil, fmt.Errorf("placer: parallel wirelength: %w", err)
-		}
-		cfg.Model = pm
-	} else if mstats != nil {
-		if sm, err := wirelength.ByNameStats(cfg.Model.Name(), mstats); err == nil {
-			cfg.Model = sm
-		} else {
+		default:
 			mstats = nil
 		}
 	}
@@ -623,7 +610,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 
 	start := time.Now()
 	setup := o.StartPhase(obs.PhaseSetup)
-	en, pos, err := newEngine(d, cfg, workers)
+	en, pos, err := newEngine(d, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -893,7 +880,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 
 // setupFillers computes filler dimensions and count from the whitespace
 // budget: fillerArea = targetDensity*freeArea - movableArea.
-func (en *engine) setupFillers(rng *rand.Rand) {
+func (en *engine) setupFillers() {
 	if en.cfg.NoFillers {
 		return
 	}
@@ -938,7 +925,6 @@ func (en *engine) setupFillers(rng *rand.Rand) {
 		en.fillerH *= scale
 		en.numFillers = max
 	}
-	_ = rng
 }
 
 // unpack writes the position vector back into the design's movable cells.
@@ -952,14 +938,12 @@ func (en *engine) unpack(pos []float64) {
 
 // stampAndOverflow stamps movable cells, measures overflow, then stamps the
 // fillers on top (ready for the field solve) and returns the overflow. Both
-// stamping passes and the overflow reduction run on the engine's worker
-// pool; per-worker partials reduce in worker order (deterministic for a
-// fixed worker count).
+// stamping passes run on the engine's worker pool.
 func (en *engine) stampAndOverflow(pos []float64) float64 {
 	en.pos = pos
 	en.grid.Clear()
 	en.stamper.StampSmoothed(len(en.mov), en.fnStampMov)
-	phi := en.grid.OverflowWorkers(en.targetDensity, en.overflowArea, en.workers)
+	phi := en.grid.Overflow(en.targetDensity, en.overflowArea)
 	en.stamper.StampSmoothed(en.numFillers, en.fnStampFill)
 	return phi
 }

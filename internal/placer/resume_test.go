@@ -3,7 +3,6 @@ package placer
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -25,23 +24,29 @@ func resumeBase(workers int) Config {
 }
 
 // TestCheckpointResumeBitExact is the kill-and-resume equivalence check: a
-// run checkpointed at iteration k and restarted from the snapshot (same
-// worker count) must finish with bit-identical positions, HPWL, and
-// trajectory to the run that was never interrupted.
+// run checkpointed at iteration k and restarted from the snapshot, at the
+// same or another worker count, must finish with bit-identical positions,
+// HPWL, and trajectory to a serial run that was never interrupted.
 func TestCheckpointResumeBitExact(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			// Reference: uninterrupted run.
-			dA := testDesign(t, 80, 0)
-			resA, err := Place(dA, resumeBase(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-
+	// Reference: uninterrupted serial run.
+	dA := testDesign(t, 80, 0)
+	resA, err := Place(dA, resumeBase(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		write, resumed int // worker counts before and after the interruption
+	}{
+		{"workers=1", 1, 1},
+		{"workers=3", 3, 3},
+		{"workers=4/resume=1", 4, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			// Interrupted run: stops after 30 iterations, snapshots every 10.
 			dir := t.TempDir()
 			dB := testDesign(t, 80, 0)
-			cfgB := resumeBase(workers)
+			cfgB := resumeBase(tc.write)
 			cfgB.MaxIters = 30
 			cfgB.Checkpoint = CheckpointConfig{Every: 10, Dir: dir, Keep: 2}
 			resB, err := Place(dB, cfgB)
@@ -69,7 +74,7 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 
 			// Resume on a fresh copy of the design and finish the run.
 			dC := testDesign(t, 80, 0)
-			cfgC := resumeBase(workers)
+			cfgC := resumeBase(tc.resumed)
 			cfgC.Resume = snap
 			resC, err := Place(dC, cfgC)
 			if err != nil {
@@ -104,9 +109,9 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatchedConfig resume under a different worker count,
-// model, or design must fail with checkpoint.ErrMismatch (determinism — and
-// hence bit-exact resume — only holds for the identical setup).
+// TestResumeRejectsMismatchedConfig resume under a different model, grid,
+// optimizer, seed, or design must fail with checkpoint.ErrMismatch: bit-exact
+// resume holds only for the identical setup.
 func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	dir := t.TempDir()
 	d := testDesign(t, 60, 0)
@@ -125,7 +130,6 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"workers", func(c *Config) { c.Workers = 4 }},
 		{"model", func(c *Config) { c.Model = wirelength.NewLSE() }},
 		{"grid", func(c *Config) { c.GridX, c.GridY = 32, 32 }},
 		{"optimizer", func(c *Config) { c.Optimizer = "adam" }},

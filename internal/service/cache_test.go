@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -41,16 +42,19 @@ func newDurableManager(t *testing.T, dir string, workers int) *Manager {
 	return m
 }
 
-// TestCacheExactHitBitIdentical pins the exact-hit contract: resubmitting an
-// identical spec is served from the cache without running the GP loop, and
-// the served positions are bit-identical to what actually running the flow
-// produces.
+// TestCacheExactHitBitIdentical pins the exact-hit contract: resubmitting a
+// spec is served from the cache without running the GP loop, and the served
+// positions are bit-identical to what actually running the flow produces.
+// The worker count is not part of the key: the entry a Workers 1 job wrote
+// answers a Workers 2 resubmission, whose own flow computes the same bits.
 func TestCacheExactHitBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	m := newDurableManager(t, dir, 1)
 	spec := cacheSpec(120)
+	serial := spec
+	serial.Placer.Workers = 1
 
-	v1, err := m.Submit(spec)
+	v1, err := m.Submit(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +63,7 @@ func TestCacheExactHitBitIdentical(t *testing.T) {
 		t.Errorf("first run cache outcome %q, want miss", done1.Cache)
 	}
 
-	// Ground truth: replay the same spec through the flow directly. The
+	// Ground truth: replay the Workers 2 spec through the flow directly. The
 	// pipeline is deterministic, so these are the bits the cache must serve.
 	d, err := spec.buildDesign("")
 	if err != nil {
@@ -231,5 +235,47 @@ func TestCacheNearHitSurvivesRetentionPrune(t *testing.T) {
 	}
 	if done := waitState(t, m, v2.ID, StateDone); done.Cache != "near_hit" {
 		t.Fatalf("child of pruned parent cache outcome %q, want near_hit", done.Cache)
+	}
+}
+
+// TestDonePublishedLast pins the publication order of a finished job: at the
+// first moment it reads done, its result is already in the cache and the
+// done counter already counts it, both for a placed job and for an exact
+// hit. A client that resubmits on seeing done must get the cached result.
+func TestDonePublishedLast(t *testing.T) {
+	m := newDurableManager(t, t.TempDir(), 1)
+	spec := cacheSpec(100)
+	d, err := spec.buildDesign("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := ecocache.Key{Design: d.ContentHash(), Config: spec.cacheFingerprint().Key()}
+	for i, outcome := range []string{"miss", "hit"} {
+		v, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Poll without sleeping, so the first read of done lands as close
+		// to its publication as the scheduler allows.
+		deadline := time.Now().Add(30 * time.Second)
+		for v.State != StateDone {
+			if v.State.Terminal() || time.Now().After(deadline) {
+				t.Fatalf("job %s: state %s (err %q), want done", v.ID, v.State, v.Error)
+			}
+			runtime.Gosched()
+			if v, err = m.Get(v.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done, hits := m.tel.JobsDone.Value(), m.tel.CacheHits.Value()
+		if m.cache.Get(key) == nil {
+			t.Errorf("%s: job read done before its result was cached", outcome)
+		}
+		if done != int64(i+1) {
+			t.Errorf("%s: done counter %d when the job read done, want %d", outcome, done, i+1)
+		}
+		if v.Cache != outcome || hits != int64(i) {
+			t.Errorf("%s: cache outcome %q with %d hits counted, want %q with %d", outcome, v.Cache, hits, outcome, i)
+		}
 	}
 }

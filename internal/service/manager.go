@@ -696,16 +696,17 @@ func (m *Manager) run(j *job) {
 
 	res, err := core.RunFlowContext(j.ctx, d, cfg)
 	if err != nil && errors.Is(err, checkpoint.ErrMismatch) && cfg.GP.Resume != nil {
-		// The snapshot no longer matches the rebuilt run (e.g. the spec's
-		// worker count changed between boots): restart cold instead of
-		// failing the job.
+		// The snapshot no longer matches the rebuilt run (e.g. the binary
+		// builds a different grid or filler count than the one that wrote
+		// it): restart cold instead of failing the job.
 		cfg.GP.Resume = nil
 		res, err = core.RunFlowContext(j.ctx, d, cfg)
 	}
 	switch {
 	case err == nil:
-		j.finish(StateDone, res, "")
-		m.persist(j, "")
+		// Cache the result and count the job before publishing done: a
+		// client that sees done and resubmits must hit the cache, and a
+		// metrics scrape after done must count the job.
 		if m.cache != nil {
 			// Store the finished placement so an identical resubmission is an
 			// exact hit and an ECO child can warm-start from it. Best-effort:
@@ -729,6 +730,8 @@ func (m *Manager) run(j *job) {
 		m.tel.LGSeconds.Observe(res.LGSeconds)
 		m.tel.DPSeconds.Observe(res.DPSeconds)
 		m.tel.TotalSeconds.Observe(res.TotalSeconds)
+		j.finish(StateDone, res, "")
+		m.persist(j, "")
 		m.log.Info("job done", "job", j.id, "design", d.Name,
 			"hpwl", res.DPWL, "overflow", res.Overflow, "seconds", res.TotalSeconds)
 	case errors.Is(err, context.Canceled):
@@ -760,7 +763,8 @@ func (m *Manager) run(j *job) {
 
 // serveCacheHit finishes a job straight from the placement-result cache: the
 // stored positions are the final placement (bit-identical to the run that
-// produced them), so the job reports done without one GP iteration.
+// produced them), so the job reports done without one GP iteration. As in
+// run, the counters are updated before done is published.
 func (m *Manager) serveCacheHit(j *job, d *netlist.Design, cached *checkpoint.PlacementResult) {
 	copy(d.X, cached.X)
 	copy(d.Y, cached.Y)
@@ -773,12 +777,12 @@ func (m *Manager) serveCacheHit(j *job, d *netlist.Design, cached *checkpoint.Pl
 		Overflow: cached.Overflow,
 	}
 	j.setCacheOutcome("hit")
-	j.finish(StateDone, res, "")
-	m.persist(j, "")
 	m.tel.CacheHits.Inc()
 	m.tel.JobsDone.Inc()
 	m.tel.LastHPWL.Set(cached.HPWL)
 	m.tel.LastOverflow.Set(cached.Overflow)
+	j.finish(StateDone, res, "")
+	m.persist(j, "")
 	m.log.Info("job served from cache", "job", j.id, "design", d.Name, "hpwl", cached.HPWL)
 }
 

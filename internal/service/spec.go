@@ -99,13 +99,9 @@ type PlacerSpec struct {
 	Schedule     string  `json:"schedule,omitempty"`
 	RecordEvery  int     `json:"record_every,omitempty"`
 	// Workers sizes the shared placement worker pool (wirelength model,
-	// density stamping, spectral solve, field gather).
-	Workers int `json:"workers,omitempty"`
-	// WLWorkers is a deprecated alias for Workers kept for old clients;
-	// it applies only when workers is absent. This JSON knob is the only
-	// place the alias still exists — placer.Config has a single Workers
-	// field, and placerConfig folds the alias into it.
-	WLWorkers    int  `json:"wl_workers,omitempty"`
+	// density stamping, spectral solve, field gather). It changes only
+	// speed: the result is the same bits at every worker count.
+	Workers      int  `json:"workers,omitempty"`
 	Precondition bool `json:"precondition,omitempty"`
 	// Guard enables the numerical-health guard (divergence detection plus
 	// snapshot rollback, see internal/guard) with default thresholds.
@@ -165,9 +161,6 @@ func (s *JobSpec) Validate(auxRoot string) error {
 	m, err := wirelength.ByName(s.modelName())
 	if err != nil {
 		return err
-	}
-	if p := s.Placer; p.Workers > 0 && p.WLWorkers > 0 && p.Workers != p.WLWorkers {
-		return fmt.Errorf("placer.workers (%d) and the deprecated placer.wl_workers alias (%d) are both set and disagree; set only workers", p.Workers, p.WLWorkers)
 	}
 	cfg := s.placerConfig()
 	cfg.Model = m
@@ -233,15 +226,9 @@ func (s *JobSpec) auxPath(auxRoot string) (string, error) {
 
 // placerConfig translates PlacerSpec into placer.Config (Model left nil).
 // Each call builds a fresh guard.Config, so per-run OnEvent wiring never
-// leaks between jobs sharing a spec. The deprecated wl_workers alias is
-// resolved here — downstream code only ever sees Workers (Validate has
-// already rejected conflicting non-zero values).
+// leaks between jobs sharing a spec.
 func (s *JobSpec) placerConfig() placer.Config {
 	p := s.Placer
-	workers := p.Workers
-	if workers == 0 {
-		workers = p.WLWorkers
-	}
 	cfg := placer.Config{
 		MaxIters:     p.MaxIters,
 		StopOverflow: p.StopOverflow,
@@ -252,7 +239,7 @@ func (s *JobSpec) placerConfig() placer.Config {
 		Init:         p.Init,
 		Schedule:     p.Schedule,
 		RecordEvery:  p.RecordEvery,
-		Workers:      workers,
+		Workers:      p.Workers,
 		Precondition: p.Precondition,
 	}
 	if p.Guard {
@@ -356,7 +343,6 @@ func (s *JobSpec) cacheFingerprint() ecocache.ConfigFingerprint {
 		Optimizer:    p.Optimizer,
 		Schedule:     p.Schedule,
 		Precondition: p.Precondition,
-		Workers:      p.Workers,
 		GPOnly:       s.Flow.GPOnly,
 		SkipDetailed: s.Flow.SkipDetailed,
 		UseTetris:    s.Flow.UseTetris,

@@ -2,43 +2,47 @@ package service
 
 import (
 	"encoding/json"
+	"net/http"
+	"strings"
 	"testing"
 )
 
-// TestPlacerSpecWorkers is the single test pinning the wl_workers
-// deprecation contract, which now lives entirely in this package: the JSON
-// alias folds into placer.Config.Workers when workers is absent, agrees
-// silently when the values match, and is rejected at validation when both
-// knobs are set and disagree. placer.Config itself has no alias field.
+// TestPlacerSpecWorkers pins the worker knob: placer.workers maps onto
+// placer.Config.Workers. The removed wl_workers alias is an unknown field: a
+// new request using it gets the submit handler's 400, while a spec persisted
+// with it still loads (the store decodes leniently) and runs at the default
+// width, which computes the same bits as any other.
 func TestPlacerSpecWorkers(t *testing.T) {
 	var spec JobSpec
-	body := `{"design": {"synth": {"cells": 100}}, "placer": {"workers": 4, "wl_workers": 2}}`
-	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+	if err := json.Unmarshal([]byte(`{"design": {"synth": {"cells": 100}}, "placer": {"workers": 4}}`), &spec); err != nil {
 		t.Fatal(err)
 	}
 	if cfg := spec.placerConfig(); cfg.Workers != 4 {
-		t.Errorf("Workers = %d, want 4 (workers wins over the alias)", cfg.Workers)
+		t.Errorf("Workers = %d, want 4", cfg.Workers)
 	}
-	if err := spec.Validate(""); err == nil {
-		t.Fatal("spec with conflicting workers and wl_workers passed validation")
-	}
-
-	var agree JobSpec
-	if err := json.Unmarshal([]byte(`{"design": {"synth": {"cells": 100}}, "placer": {"workers": 4, "wl_workers": 4}}`), &agree); err != nil {
-		t.Fatal(err)
-	}
-	if err := agree.Validate(""); err != nil {
-		t.Fatalf("spec with agreeing workers knobs failed validation: %v", err)
+	if err := spec.Validate(""); err != nil {
+		t.Fatalf("spec failed validation: %v", err)
 	}
 
-	var legacy JobSpec
-	if err := json.Unmarshal([]byte(`{"design": {"synth": {"cells": 100}}, "placer": {"wl_workers": 3}}`), &legacy); err != nil {
+	const legacy = `{"design": {"synth": {"cells": 100}}, "placer": {"wl_workers": 3}}`
+	var persisted JobSpec
+	if err := json.Unmarshal([]byte(legacy), &persisted); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Validate(""); err != nil {
-		t.Fatalf("legacy wl_workers-only spec failed validation: %v", err)
+	if err := persisted.Validate(""); err != nil {
+		t.Fatalf("persisted legacy spec failed validation: %v", err)
 	}
-	if cfg := legacy.placerConfig(); cfg.Workers != 3 {
-		t.Errorf("legacy spec mapped to Workers=%d, want 3 (alias folded in)", cfg.Workers)
+	if cfg := persisted.placerConfig(); cfg.Workers != 0 {
+		t.Errorf("legacy spec mapped to Workers=%d, want the default 0", cfg.Workers)
+	}
+
+	srv, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("wl_workers request status = %d, want 400", resp.StatusCode)
 	}
 }

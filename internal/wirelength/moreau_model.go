@@ -7,15 +7,7 @@ import "repro/internal/moreau"
 // gradient is the exact envelope gradient of Corollary 1, which the +t
 // offset does not affect.
 func NewMoreauKernel() Kernel {
-	return NewMoreauKernelStats(nil)
-}
-
-// NewMoreauKernelStats is NewMoreauKernel with an optional shared branch
-// counter; each kernel instance gets private sort scratch but all feed the
-// same atomic Stats. stats == nil disables counting.
-func NewMoreauKernelStats(stats *moreau.Stats) Kernel {
 	ev := moreau.NewEvaluator(64)
-	ev.Stats = stats
 	return func(x []float64, t float64, grad []float64) float64 {
 		checkKernelArgs(x, t)
 		r := ev.EnvelopeGrad(x, t, grad)
@@ -29,17 +21,20 @@ func NetMoreau(x []float64, t float64, grad []float64) float64 {
 	return NewMoreauKernel()(x, t, grad)
 }
 
-// NewMoreau returns the Moreau-envelope wirelength model ("ME", ours).
-func NewMoreau() Model {
-	return NewMoreauStats(nil)
-}
+// NewMoreau returns the Moreau-envelope wirelength model ("ME", ours). It
+// evaluates whole net ranges through moreau.GradBatch over the design's SoA
+// lanes — per-net arithmetic identical to the kernel path, minus the per-net
+// call overhead.
+func NewMoreau() Model { return newMoreau(1, nil) }
 
-// NewMoreauStats is NewMoreau with a shared branch counter (see
-// NewMoreauKernelStats). The returned model evaluates whole net ranges
-// through moreau.GradBatch over the design's SoA lanes — per-net arithmetic
-// identical to the kernel path, minus the per-net call overhead.
-func NewMoreauStats(stats *moreau.Stats) Model {
-	ev := moreau.NewEvaluator(64)
-	ev.Stats = stats
-	return &kernelModel{name: "ME", kind: ParamMoreauT, batch: ev}
+// newMoreau builds the ME model with one batch evaluator per worker, each
+// with private sort scratch and all reporting into stats (nil disables
+// counting).
+func newMoreau(workers int, stats *moreau.Stats) *kernelModel {
+	batch := make([]*moreau.Evaluator, workers)
+	for w := range batch {
+		batch[w] = moreau.NewEvaluator(64)
+		batch[w].Stats = stats
+	}
+	return newKernelModel("ME", ParamMoreauT, nil, batch)
 }

@@ -1,12 +1,19 @@
 package wirelength
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"repro/internal/synth"
 )
 
+// testWidths are the worker counts the width-independence tests compare:
+// serial, even and ragged pool sizes, and more workers than net chunks.
+var testWidths = []int{1, 2, 3, 7, 16}
+
+// TestParallelMatchesSequential pins the width-independence contract: every
+// model built at any worker count returns exactly (==) the value and
+// gradients of the serial model, on a design spanning several net chunks.
 func TestParallelMatchesSequential(t *testing.T) {
 	d, err := synth.Generate(synth.Spec{
 		Name: "par", NumMovable: 600, NumPads: 8, NumNets: 700,
@@ -15,53 +22,41 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := d.NumCells()
 	for _, name := range append(AllModelNames(), "BiG_WA", "HPWL") {
 		seq, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := ParallelByName(name, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Name() != seq.Name() || par.ParamKind() != seq.ParamKind() {
-			t.Errorf("%s: metadata mismatch", name)
-		}
-		n := d.NumCells()
+		p := 2.5
 		gxS := make([]float64, n)
 		gyS := make([]float64, n)
-		gxP := make([]float64, n)
-		gyP := make([]float64, n)
-		p := 2.5
 		vS := seq.WirelengthGrad(d, p, gxS, gyS)
-		vP := par.WirelengthGrad(d, p, gxP, gyP)
-		if math.Abs(vS-vP) > 1e-9*(1+math.Abs(vS)) {
-			t.Errorf("%s: value %g vs parallel %g", name, vS, vP)
+		for _, workers := range testWidths {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				par, err := New(name, workers, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if par.Name() != seq.Name() || par.ParamKind() != seq.ParamKind() {
+					t.Errorf("metadata mismatch")
+				}
+				gxP := make([]float64, n)
+				gyP := make([]float64, n)
+				if vP := par.WirelengthGrad(d, p, gxP, gyP); vP != vS {
+					t.Errorf("value %v, serial %v", vP, vS)
+				}
+				for i := 0; i < n; i++ {
+					if gxP[i] != gxS[i] || gyP[i] != gyS[i] {
+						t.Fatalf("grad at cell %d: (%v,%v), serial (%v,%v)", i, gxP[i], gyP[i], gxS[i], gyS[i])
+					}
+				}
+				// A value-only call (nil gradients) returns the same value.
+				if v := par.WirelengthGrad(d, p, nil, nil); v != vS {
+					t.Errorf("value-only %v, serial %v", v, vS)
+				}
+			})
 		}
-		for i := 0; i < n; i++ {
-			if math.Abs(gxS[i]-gxP[i]) > 1e-9*(1+math.Abs(gxS[i])) ||
-				math.Abs(gyS[i]-gyP[i]) > 1e-9*(1+math.Abs(gyS[i])) {
-				t.Fatalf("%s: grad mismatch at cell %d", name, i)
-			}
-		}
-		// Value-only call (nil gradients) must also work.
-		if v := par.WirelengthGrad(d, p, nil, nil); math.Abs(v-vS) > 1e-9*(1+math.Abs(vS)) {
-			t.Errorf("%s: value-only parallel %g vs %g", name, v, vS)
-		}
-	}
-}
-
-func TestParallelizeOneWorkerPassthrough(t *testing.T) {
-	base, _ := ByName("WA")
-	m, err := Parallelize(base, 1, nil)
-	if err != nil || m != base {
-		t.Errorf("workers=1 should return the base model unchanged: %v %v", m, err)
-	}
-	if _, err := Parallelize(base, 4, nil); err == nil {
-		t.Error("nil factory accepted")
-	}
-	if _, err := ParallelByName("nope", 4); err == nil {
-		t.Error("unknown model accepted")
 	}
 }
 
@@ -73,7 +68,7 @@ func TestParallelRepeatedCallsStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ParallelByName("ME", 3)
+	par, err := New("ME", 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

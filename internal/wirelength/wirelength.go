@@ -9,8 +9,8 @@
 //   - a per-net, one-dimensional kernel operating on raw pin coordinates
 //     (used by the toy studies of Fig. 1 and by unit tests), and
 //   - a whole-design evaluator that assembles pin coordinates from cell
-//     positions plus pin offsets, evaluates both axes, and scatters the
-//     gradient back onto cells (used by the global placer).
+//     positions plus pin offsets, evaluates both axes, and sums each cell's
+//     per-pin gradients (used by the global placer).
 //
 // The smoothing parameter has a per-model meaning (gamma for the
 // exponential models, t for the Moreau envelope); ParamKind tells the placer
@@ -20,10 +20,10 @@ package wirelength
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/moreau"
 	"repro/internal/netlist"
+	"repro/internal/parallel"
 )
 
 // ParamKind selects the smoothing-parameter schedule a model requires.
@@ -136,45 +136,122 @@ func NetHPWL(x []float64, _ float64, grad []float64) float64 {
 	return hi - lo
 }
 
-// kernelModel adapts a per-net Kernel (or the Moreau batch evaluator) into
-// a whole-design Model streaming over the design's SoA pin lanes: one gather
-// pass cells→pin coordinates, per-net kernels over contiguous slices of the
-// gathered lanes, and a scatter pass back onto cell gradients.
+// netChunk is the number of nets in one unit of the net pass. The
+// wirelength total is summed per chunk and then over chunks in chunk order,
+// so the chunk size, not the worker count, fixes the order of that sum.
+const netChunk = 256
+
+// kernelModel adapts per-net Kernels (or Moreau batch evaluators) into a
+// whole-design Model streaming over the design's SoA pin lanes. One
+// evaluation runs two passes on a pool of goroutines:
+//
+//   - the net pass walks fixed-size chunks of netChunk nets: it gathers a
+//     chunk's pin coordinates, runs the kernels, writes each pin's
+//     weight-scaled gradient into the pin lanes gx/gy (indexed like
+//     Design.Pins), and writes the chunk's wirelength into totals;
+//   - the cell pass sums each cell's pin-lane entries in Design.CellPins
+//     order.
+//
+// Every lane entry and chunk total has exactly one writer, and a cell adds
+// its pins' terms in ascending pin order, which is the order a serial
+// net-by-net scatter adds them. Values and gradients are therefore
+// bit-identical at every worker count.
+//
+// A kernelModel is not safe for concurrent WirelengthGrad calls: the lanes
+// and per-worker scratch are reused across calls. Create one model per
+// concurrent placement run.
 type kernelModel struct {
-	name   string
-	kind   ParamKind
-	kernel Kernel
-	// batch, when non-nil, selects the Moreau batch path instead of the
-	// per-net kernel: whole net ranges evaluate in single GradBatch calls.
-	batch *moreau.Evaluator
-	s     laneScratch
+	name string
+	kind ParamKind
+	// kernels holds one per-net kernel per worker (kernels may keep private
+	// scratch). batch, when non-nil, holds one Moreau batch evaluator per
+	// worker instead and selects the batch path: whole net ranges evaluate
+	// in single GradBatch calls.
+	kernels []Kernel
+	batch   []*moreau.Evaluator
+	// lanes holds each worker's gather scratch; gx, gy are the pin gradient
+	// lanes and totals the per-chunk wirelength partials. All grow on demand
+	// and are reused, so the steady state allocates nothing.
+	lanes  []laneScratch
+	gx, gy []float64
+	totals []float64
+
+	// Prebuilt pass bodies and their per-call parameters: closures built
+	// inside WirelengthGrad would escape to the heap on every call.
+	d            *netlist.Design
+	p            float64
+	gradX, gradY []float64
+	fnNets       func(w, lo, hi int)
+	fnCells      func(w, lo, hi int)
 }
 
-// NewKernelModel wraps a one-dimensional kernel as a full-design Model.
+// NewKernelModel wraps a one-dimensional kernel as a full-design Model that
+// evaluates on the caller's goroutine.
 func NewKernelModel(name string, kind ParamKind, k Kernel) Model {
-	return &kernelModel{name: name, kind: kind, kernel: k}
+	return newKernelModel(name, kind, []Kernel{k}, nil)
+}
+
+// newKernelModel builds a model whose worker pool has one entry of kernels
+// (or of batch, when non-nil) per worker.
+func newKernelModel(name string, kind ParamKind, kernels []Kernel, batch []*moreau.Evaluator) *kernelModel {
+	m := &kernelModel{name: name, kind: kind, kernels: kernels, batch: batch}
+	m.lanes = make([]laneScratch, max(len(kernels), len(batch)))
+	m.fnNets = func(w, lo, hi int) {
+		d := m.d
+		ln := d.PinLanes()
+		s := &m.lanes[w]
+		var gx, gy []float64
+		if m.gradX != nil {
+			gx, gy = m.gx, m.gy
+		}
+		for c := lo; c < hi; c++ {
+			e0 := c * netChunk
+			e1 := min(e0+netChunk, d.NumNets())
+			if m.batch != nil {
+				m.totals[c] = evalBatchRange(d, ln, s, m.batch[w], e0, e1, m.p, gx, gy)
+			} else {
+				m.totals[c] = evalKernelRange(d, ln, s, m.kernels[w], e0, e1, m.p, gx, gy)
+			}
+		}
+	}
+	m.fnCells = func(_, lo, hi int) {
+		pins, starts := m.d.CellPins, m.d.CellPinStart
+		gx := m.gx
+		gy := m.gy[:len(gx)]
+		gradX, gradY := m.gradX[lo:hi], m.gradY[lo:hi]
+		for i := range gradX {
+			sx, sy := 0.0, 0.0
+			for _, pi := range pins[starts[lo+i]:starts[lo+i+1]] {
+				sx += gx[pi]
+				sy += gy[pi]
+			}
+			gradX[i], gradY[i] = sx, sy
+		}
+	}
+	return m
 }
 
 func (m *kernelModel) Name() string         { return m.name }
 func (m *kernelModel) ParamKind() ParamKind { return m.kind }
 
 func (m *kernelModel) WirelengthGrad(d *netlist.Design, p float64, gradX, gradY []float64) float64 {
+	chunks := (d.NumNets() + netChunk - 1) / netChunk
+	if cap(m.totals) < chunks {
+		m.totals = make([]float64, chunks)
+	}
+	if gradX != nil && cap(m.gx) < d.NumPins() {
+		m.gx = make([]float64, d.NumPins())
+		m.gy = make([]float64, d.NumPins())
+	}
+	workers := len(m.lanes)
+	m.d, m.p, m.gradX, m.gradY = d, p, gradX, gradY
+	parallel.For(workers, chunks, m.fnNets)
 	if gradX != nil {
-		for i := range gradX {
-			gradX[i] = 0
-		}
-		for i := range gradY {
-			gradY[i] = 0
-		}
+		parallel.For(workers, d.NumCells(), m.fnCells)
 	}
 	total := 0.0
-	if n := d.NumNets(); n > 0 {
-		ln := d.PinLanes()
-		if m.batch != nil {
-			total = evalBatchRange(d, ln, &m.s, m.batch, 0, n, p, gradX, gradY)
-		} else {
-			total = evalKernelRange(d, ln, &m.s, m.kernel, 0, n, p, gradX, gradY)
-		}
+	for _, v := range m.totals[:chunks] {
+		total += v
 	}
 	if h := GradHook; h != nil && gradX != nil {
 		h(m.name, gradX, gradY)
@@ -184,31 +261,45 @@ func (m *kernelModel) WirelengthGrad(d *netlist.Design, p float64, gradX, gradY 
 
 // ByName constructs one of the comparison models used in the paper's tables:
 // "LSE", "WA", "BiG_CHKS", "ME" (ours), or "HPWL" (exact subgradient
-// reference). The lookup is case-insensitive on these exact names.
+// reference). The lookup is case-insensitive on these exact names. The model
+// evaluates on the caller's goroutine; New builds one with a worker pool.
 func ByName(name string) (Model, error) {
-	return ByNameStats(name, nil)
+	return New(name, 1, nil)
 }
 
-// ByNameStats is ByName with an optional Moreau branch counter: when stats
-// is non-nil and the model is the Moreau envelope, its evaluator reports
-// branch statistics (evaluations, degenerate collapses, large sorts) into
-// stats. Other models ignore stats.
-func ByNameStats(name string, stats *moreau.Stats) (Model, error) {
+// New constructs the named model (see ByName) evaluating on a pool of
+// workers goroutines; workers <= 1 runs on the caller's goroutine. Values
+// and gradients are bit-identical at every worker count. When stats is
+// non-nil and the model is the Moreau envelope, its evaluators report branch
+// statistics (evaluations, degenerate collapses, large sorts) into stats;
+// other models ignore stats.
+func New(name string, workers int, stats *moreau.Stats) (Model, error) {
+	workers = max(workers, 1)
+	var (
+		canon  string
+		kernel func() Kernel
+	)
 	switch name {
 	case "LSE", "lse":
-		return NewLSE(), nil
+		canon, kernel = "LSE", func() Kernel { return NetLSE }
 	case "WA", "wa":
-		return NewWA(), nil
+		canon, kernel = "WA", func() Kernel { return NetWA }
 	case "BiG_CHKS", "big_chks", "BIG_CHKS", "big":
-		return NewBiGCHKS(), nil
+		canon, kernel = "BiG_CHKS", NewBiGKernel
 	case "BiG_WA", "big_wa", "BIG_WA":
-		return NewBiGWA(), nil
-	case "ME", "me", "moreau", "Moreau":
-		return NewMoreauStats(stats), nil
+		canon, kernel = "BiG_WA", NewBiGWAKernel
 	case "HPWL", "hpwl":
-		return NewKernelModel("HPWL", ParamGamma, NetHPWL), nil
+		canon, kernel = "HPWL", func() Kernel { return NetHPWL }
+	case "ME", "me", "moreau", "Moreau":
+		return newMoreau(workers, stats), nil
+	default:
+		return nil, fmt.Errorf("wirelength: unknown model %q (want LSE, WA, BiG_CHKS, BiG_WA, ME, or HPWL)", name)
 	}
-	return nil, fmt.Errorf("wirelength: unknown model %q (want LSE, WA, BiG_CHKS, BiG_WA, ME, or HPWL)", name)
+	kernels := make([]Kernel, workers)
+	for w := range kernels {
+		kernels[w] = kernel()
+	}
+	return newKernelModel(canon, ParamGamma, kernels, nil), nil
 }
 
 // AllModelNames lists the models compared in Tables II/III, in table order.
@@ -227,15 +318,6 @@ func spanExtremes(x []float64) (lo, hi float64) {
 	}
 	return lo, hi
 }
-
-// sortedCoords returns a sorted copy of x (test/analysis helper).
-func sortedCoords(x []float64) []float64 {
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	return s
-}
-
-var _ = sortedCoords // referenced by analysis tests
 
 // checkKernelArgs validates common kernel preconditions.
 func checkKernelArgs(x []float64, p float64) {
