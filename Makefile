@@ -1,7 +1,7 @@
 # Standard verify entrypoint: `make check` is what CI (and humans) run.
 GO ?= go
 # Each PR writes its own trajectory file so earlier ones stay comparable.
-BENCH ?= BENCH_PR10.json
+BENCH ?= BENCH_PR16.json
 
 .PHONY: check fmt vet build test race fuzz-seeds fuzz bench cover placerd trace-demo fleet-demo chaos-demo placertop-demo golden
 
@@ -24,18 +24,17 @@ test:
 
 # The job manager (now including the durable store and result cache), the
 # checkpoint codec, telemetry, engine cancellation, the numerical-health
-# guard, the fault injection harness, and every parallel evaluation path
-# (worker pool, density pipeline, wirelength reduction) must be clean under
-# the race detector; the placer/density/wirelength suites include the
-# parallel-vs-serial equivalence tests, the service suite includes the
-# kill-and-recover, panic-isolation, and cache-hit tests, the fleet suite
-# includes the journal crash-recovery and cancel-vs-dispatch race tests, and
-# the ecocache/netlist suites cover the concurrent cache and content hashing
-# the ECO fast path keys on.
+# guard, and the fault injection harness must be clean under the race
+# detector; the placer suite includes the observed cancel-vs-checkpoint
+# race test, the service suite includes the kill-and-recover,
+# panic-isolation, and cache-hit tests, the fleet suite includes the journal
+# crash-recovery and cancel-vs-dispatch race tests, and the ecocache/netlist
+# suites cover the concurrent cache and content hashing the ECO fast path
+# keys on.
 race:
 	$(GO) test -race ./internal/service/... ./internal/placer/... \
 		./internal/checkpoint/... ./internal/density/... \
-		./internal/wirelength/... ./internal/parallel/... \
+		./internal/wirelength/... \
 		./internal/obs/... ./internal/guard/... ./internal/faultinject/... \
 		./internal/fleet/... ./internal/chaos/... ./internal/ecocache/... \
 		./internal/netlist/... ./internal/trajclient/... ./internal/placertop/...
@@ -56,8 +55,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/bookshelf/
 
 # bench refreshes the machine-readable perf trajectory: every benchmark runs
-# once and $(BENCH) records ns/op + allocs/op per benchmark plus the
-# workers=N speedups of the parallel density/eval pipeline. benchjson is
+# once and $(BENCH) records ns/op + allocs/op per benchmark. benchjson is
 # prebuilt and packages run serially (-p 1) so neither the converter's
 # compile nor another package's build steals cycles from a measured
 # iteration — at -benchtime=1x on a small machine that contention is visible

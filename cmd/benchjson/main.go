@@ -1,12 +1,10 @@
 // Command benchjson converts `go test -bench` text output (read from stdin)
 // into the machine-readable JSON perf trajectory the Makefile's bench target
-// writes to BENCH_PR2.json. For every benchmark family that ran with
-// /workers=1 and /workers=N sub-benchmarks it also reports the parallel
-// speedup (ns/op ratio), which is the number later PRs compare against.
+// writes to a BENCH_PR*.json file.
 //
 // Usage:
 //
-//	go test -bench=. -benchtime=1x -run='^$' ./... | benchjson > BENCH_PR2.json
+//	go test -bench=. -benchtime=1x -run='^$' ./... | benchjson > BENCH.json
 package main
 
 import (
@@ -16,9 +14,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 )
 
 // Benchmark is one parsed result line. BytesPerOp/AllocsPerOp are pointers
@@ -33,24 +29,19 @@ type Benchmark struct {
 	AllocsPerOp *int64   `json:"allocs_per_op,omitempty"`
 }
 
-// Report is the BENCH_PR2.json document.
+// Report is the BENCH_PR*.json document.
 type Report struct {
-	// CPUs records the machine's core count; parallel speedups are only
-	// meaningful when it is at least the benchmarked worker count.
-	CPUs       int                           `json:"cpus"`
-	GoOS       string                        `json:"goos"`
-	GoArch     string                        `json:"goarch"`
-	Benchmarks []Benchmark                   `json:"benchmarks"`
-	Speedups   map[string]map[string]float64 `json:"speedups,omitempty"`
+	// CPUs records the machine's core count.
+	CPUs       int         `json:"cpus"`
+	GoOS       string      `json:"goos"`
+	GoArch     string      `json:"goarch"`
+	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-// benchLine matches "BenchmarkFoo/workers=2-8  3  123456 ns/op  78 B/op  9 allocs/op"
+// benchLine matches "BenchmarkFoo/sub-8  3  123456 ns/op  78 B/op  9 allocs/op"
 // (the -P GOMAXPROCS suffix and the B/op / allocs/op columns are optional).
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
-
-// workersSuffix splits "Family/workers=N" benchmark names.
-var workersSuffix = regexp.MustCompile(`^(.+)/workers=(\d+)$`)
 
 func main() {
 	report := Report{CPUs: runtime.NumCPU(), GoOS: runtime.GOOS, GoArch: runtime.GOARCH}
@@ -79,64 +70,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	report.Speedups = speedups(report.Benchmarks)
-
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(report); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// speedups computes, for every family with a workers=1 baseline, the ns/op
-// ratio of the baseline to each other worker count ("workers=4" -> 2.1
-// means the 4-worker variant ran 2.1x faster than serial).
-func speedups(benches []Benchmark) map[string]map[string]float64 {
-	baselines := map[string]float64{}
-	variants := map[string]map[string]float64{}
-	for _, b := range benches {
-		m := workersSuffix.FindStringSubmatch(b.Name)
-		if m == nil {
-			continue
-		}
-		family, count := m[1], m[2]
-		if count == "1" {
-			baselines[family] = b.NsPerOp
-			continue
-		}
-		if variants[family] == nil {
-			variants[family] = map[string]float64{}
-		}
-		variants[family]["workers="+count] = b.NsPerOp
-	}
-	out := map[string]map[string]float64{}
-	families := make([]string, 0, len(variants))
-	for f := range variants {
-		families = append(families, f)
-	}
-	sort.Strings(families)
-	for _, f := range families {
-		base, ok := baselines[f]
-		if !ok || base <= 0 {
-			continue
-		}
-		out[f] = map[string]float64{}
-		for k, ns := range variants[f] {
-			if ns > 0 {
-				// Two decimal places keep the JSON diff-friendly.
-				out[f][k] = roundTo(base/ns, 2)
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-func roundTo(v float64, places int) float64 {
-	s := strconv.FormatFloat(v, 'f', places, 64)
-	r, _ := strconv.ParseFloat(strings.TrimRight(s, "0"), 64)
-	return r
 }

@@ -5,7 +5,7 @@
 //
 //	experiments -exp table1|table2|table3|fig1a|fig1b|fig3|stability|all \
 //	            [-scale2006 f] [-scale2019 f] [-iters n] [-overflow f] \
-//	            [-workers n] [-place-workers n] [-samples n] [-quiet]
+//	            [-workers n] [-samples n] [-quiet]
 //
 // Full-scale regeneration (the defaults) takes CPU-minutes for table2/table3;
 // pass smaller scales for a quick look, e.g. -scale2006 0.002 -scale2019 0.005.
@@ -33,7 +33,6 @@ func main() {
 		iters     = flag.Int("iters", 0, "max global placement iterations (default 2500)")
 		overflow  = flag.Float64("overflow", 0, "stop overflow (default 0.07)")
 		workers   = flag.Int("workers", 0, "concurrent designs (default NumCPU/2)")
-		placeWork = flag.Int("place-workers", 0, "per-placement worker pool (wirelength + density; 0 = serial)")
 		samples   = flag.Int("samples", 3000, "random nets per point for fig1b")
 		quiet     = flag.Bool("quiet", false, "suppress per-flow progress lines")
 		svgDir    = flag.String("svg", "", "also write figures as SVG files into this directory")
@@ -50,7 +49,6 @@ func main() {
 		MaxIters:     *iters,
 		StopOverflow: *overflow,
 		Workers:      *workers,
-		PlaceWorkers: *placeWork,
 		Ctx:          ctx,
 	}
 	if !*quiet {

@@ -14,7 +14,7 @@
 // With -checkpoint the run snapshots its full placement state into the
 // directory (every -checkpoint-every iterations, and once more on Ctrl-C),
 // and -resume restarts an interrupted run from its latest snapshot — with
-// the same design, model, and worker count it finishes bit-identically to a
+// the same design and model it finishes bit-identically to a
 // never-interrupted run.
 //
 // With -guard the loop watches its own numerical health every iteration
@@ -63,7 +63,6 @@ func main() {
 		cells   = flag.Int("cells", 0, "generate an ad-hoc synthetic design with this many cells")
 		model   = flag.String("model", "ME", "wirelength model: LSE, WA, BiG_CHKS, ME, HPWL")
 		iters   = flag.Int("iters", 800, "max global placement iterations")
-		workers = flag.Int("workers", 0, "placement worker pool size (wirelength + density; 0 = serial)")
 		overfl  = flag.Float64("overflow", 0.07, "global placement stop overflow")
 		seed    = flag.Int64("seed", 1, "random seed")
 		tetris  = flag.Bool("tetris", false, "use the greedy Tetris legalizer instead of Abacus")
@@ -107,7 +106,7 @@ func main() {
 		stats.NumNets, stats.NumPins, stats.Utilization)
 
 	cfg := core.DefaultFlowConfig(*model)
-	cfg.GP = placer.Config{MaxIters: *iters, StopOverflow: *overfl, Seed: *seed, Workers: *workers}
+	cfg.GP = placer.Config{MaxIters: *iters, StopOverflow: *overfl, Seed: *seed}
 	if *verbose {
 		cfg.GP.RecordEvery = 25
 	}

@@ -382,7 +382,7 @@ func specFor(d, cells, iters int) service.JobSpec {
 			Seed:  int64(1000 + d),
 		}},
 		Model:  "ME",
-		Placer: service.PlacerSpec{MaxIters: iters, Workers: 1, Seed: int64(1 + d)},
+		Placer: service.PlacerSpec{MaxIters: iters, Seed: int64(1 + d)},
 		Flow:   service.FlowSpec{GPOnly: true},
 	}
 }

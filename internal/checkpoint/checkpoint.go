@@ -4,11 +4,9 @@
 // position, iteration counter) plus a config fingerprint that refuses to
 // resume under a mismatched netlist, grid, model, or optimizer setup.
 //
-// Because the evaluation pipeline computes the same bits at every worker
-// count, a run restored from a snapshot, at any width, finishes with
-// bit-identical positions and HPWL to one that was never interrupted — the
-// codec therefore captures the state exactly (float bit patterns, not
-// decimal round-trips).
+// A run restored from a snapshot finishes with bit-identical positions and
+// HPWL to one that was never interrupted — the codec therefore captures the
+// state exactly (float bit patterns, not decimal round-trips).
 //
 // Files are written atomically (temp file + rename in the same directory),
 // so a crash mid-write never corrupts the previous snapshot; WriteRotating
@@ -51,8 +49,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Fingerprint pins a snapshot to the exact run configuration it came from.
 // Resume is refused unless every field matches: bit-exact resume holds only
-// for the same netlist, grid, model, and optimizer. The worker count is
-// absent because every width computes the same bits.
+// for the same netlist, grid, model, and optimizer. The deprecated worker
+// count is absent because the engine ignores it.
 type Fingerprint struct {
 	Design     string
 	NumCells   int

@@ -9,8 +9,6 @@ import (
 // TestSolveSteadyStateAllocFree pins the zero-allocation contract of the
 // spectral solve: after the first call (which faults in nothing — all
 // buffers are built by NewElectro), repeated Solves must not touch the heap.
-// The loop bodies handed to parallel.For are prebuilt in the constructor and
-// parameterized through struct fields precisely so this holds.
 func TestSolveSteadyStateAllocFree(t *testing.T) {
 	g := NewGrid(geom.Rect{XL: 0, YL: 0, XH: 256, YH: 256}, 128, 128)
 	e := NewElectro(g)

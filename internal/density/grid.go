@@ -83,9 +83,8 @@ func (g *Grid) BinIndex(x, y float64) (ix, iy int) {
 func (g *Grid) BinArea() float64 { return g.BinW * g.BinH }
 
 // stampInto distributes area*scale of the rectangle [xl,xh]x[yl,yh] over the
-// bins of dst in grid rows [rowLo, rowHi), proportionally to geometric
-// overlap. Clipping to a row band leaves every per-bin term unchanged.
-func (g *Grid) stampInto(dst []float64, xl, yl, xh, yh, scale float64, rowLo, rowHi int) {
+// bins of dst, proportionally to geometric overlap.
+func (g *Grid) stampInto(dst []float64, xl, yl, xh, yh, scale float64) {
 	if xh <= xl || yh <= yl || scale == 0 {
 		return
 	}
@@ -110,14 +109,14 @@ func (g *Grid) stampInto(dst []float64, xl, yl, xh, yh, scale float64, rowLo, ro
 	if ix0 < 0 {
 		ix0 = 0
 	}
-	if iy0 < rowLo {
-		iy0 = rowLo
+	if iy0 < 0 {
+		iy0 = 0
 	}
 	if ix1 >= g.Nx {
 		ix1 = g.Nx - 1
 	}
-	if iy1 >= rowHi {
-		iy1 = rowHi - 1
+	if iy1 >= g.Ny {
+		iy1 = g.Ny - 1
 	}
 	for iy := iy0; iy <= iy1; iy++ {
 		by := g.Region.YL + float64(iy)*g.BinH
@@ -140,13 +139,13 @@ func (g *Grid) stampInto(dst []float64, xl, yl, xh, yh, scale float64, rowLo, ro
 // StampRect adds the rectangle's overlap area (times scale) to the movable
 // density map.
 func (g *Grid) StampRect(xl, yl, xh, yh, scale float64) {
-	g.stampInto(g.Density, xl, yl, xh, yh, scale, 0, g.Ny)
+	g.stampInto(g.Density, xl, yl, xh, yh, scale)
 }
 
 // StampFixedRect adds the rectangle's overlap area (times scale) to the
 // fixed density map.
 func (g *Grid) StampFixedRect(xl, yl, xh, yh, scale float64) {
-	g.stampInto(g.FixedDensity, xl, yl, xh, yh, scale, 0, g.Ny)
+	g.stampInto(g.FixedDensity, xl, yl, xh, yh, scale)
 }
 
 // SmoothedFootprint returns the ePlace density footprint of a w-by-h cell

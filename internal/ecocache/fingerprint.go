@@ -9,9 +9,8 @@ import (
 // placement a job produces. Two jobs with equal design hashes and equal
 // fingerprints are the same computation, so the cached result of one answers
 // the other exactly. Display-only knobs (trajectory recording, observability,
-// timeouts) are deliberately absent, and so is the worker count: the engine
-// computes the same bits at every width, so a result placed at one width
-// answers a request at any other.
+// timeouts) are deliberately absent, and so is the deprecated worker count,
+// which the engine ignores.
 type ConfigFingerprint struct {
 	Model         string
 	GridX, GridY  int

@@ -38,11 +38,6 @@ type Options struct {
 	// Models within one design always run sequentially so their runtime
 	// ratio stays meaningful.
 	Workers int
-	// PlaceWorkers sizes each placement's shared worker pool (wirelength
-	// model + density pipeline); 0 leaves runs serial. Keep it at 1 when
-	// comparing per-model runtimes with Workers > 1, or the pools of
-	// concurrent designs will contend.
-	PlaceWorkers int
 	// Progress, when non-nil, receives one line per completed flow.
 	Progress io.Writer
 	// Ctx, when non-nil, cancels in-flight flows (checked every global
@@ -92,7 +87,6 @@ func (o Options) flowConfig(modelName string) core.FlowConfig {
 	cfg.GP = placer.Config{} // filled by core from modelName
 	cfg.GP.MaxIters = o.MaxIters
 	cfg.GP.StopOverflow = o.StopOverflow
-	cfg.GP.Workers = o.PlaceWorkers
 	return cfg
 }
 

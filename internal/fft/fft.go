@@ -14,8 +14,8 @@
 //
 // Twiddle factors, quarter-wave tables, and bit-reversal permutations are
 // immutable per length and shared process-wide through a plan cache; every
-// Plan/CosPlan instance carries only private scratch, so per-worker plans are
-// cheap and safe to use concurrently (one plan per goroutine).
+// Plan/CosPlan instance carries only private scratch, so plans are cheap and
+// safe to use concurrently (one plan per goroutine).
 //
 // All lengths must be powers of two. Transforms are deterministic and
 // allocation-free after plan construction.

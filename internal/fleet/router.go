@@ -17,9 +17,9 @@ import (
 // job (which carries a resume pointer) must keep the original's key. The
 // parent reference is excluded too — it is rewritten to a worker-local job ID
 // during routing, and an ECO child adopts its parent's key outright so it
-// lands on the node holding the parent's cached placement. The placer worker
-// count is excluded because it changes only speed, never the result, so a
-// spec resubmitted at another width still finds its cached placement and
+// lands on the node holding the parent's cached placement. The deprecated
+// placer worker count is excluded because the placer ignores it, so a spec
+// resubmitted with another value still finds its cached placement and
 // checkpoints.
 func SpecKey(spec service.JobSpec) uint64 {
 	spec.Resume = nil

@@ -44,9 +44,8 @@ import (
 // Stats counts branch behaviour across envelope evaluations: how many nets
 // were evaluated, how many hit the degenerate (collapsed water levels)
 // branch, and how many exceeded the insertion-sort fast path. Counters are
-// atomic so one Stats may be shared by the per-worker evaluators of a
-// parallel wirelength model. A nil *Stats disables counting at the cost of
-// one pointer check per site.
+// atomic so one Stats may be shared by evaluators on different goroutines.
+// A nil *Stats disables counting at the cost of one pointer check per site.
 type Stats struct {
 	Evals      atomic.Int64
 	Degenerate atomic.Int64
@@ -156,11 +155,10 @@ func envelopeFromLevels(x []float64, t float64, r *Result) {
 
 // Evaluator computes envelopes, proximal points, and gradients for many
 // nets while reusing one sort scratch buffer. It is not safe for concurrent
-// use; create one Evaluator per worker goroutine.
+// use; create one Evaluator per goroutine.
 type Evaluator struct {
 	scratch []float64
-	// Stats, when non-nil, receives branch counters from every evaluation;
-	// typically one shared Stats across all per-worker evaluators.
+	// Stats, when non-nil, receives branch counters from every evaluation.
 	Stats *Stats
 }
 

@@ -31,9 +31,8 @@ const MaxTraceEvents = 1 << 20
 // use; export methods may run concurrently with recording and see a
 // consistent snapshot.
 type Tracer struct {
-	start   time.Time
-	iter    atomic.Int64
-	workers atomic.Int64
+	start time.Time
+	iter  atomic.Int64
 
 	mu      sync.Mutex
 	events  []SpanEvent
@@ -46,16 +45,6 @@ func NewTracer() *Tracer {
 	t.iter.Store(-1)
 	return t
 }
-
-// SetWorkers records the run's worker-pool size (export metadata).
-func (t *Tracer) SetWorkers(n int) {
-	if t != nil {
-		t.workers.Store(int64(n))
-	}
-}
-
-// Workers returns the recorded worker-pool size.
-func (t *Tracer) Workers() int { return int(t.workers.Load()) }
 
 // SetIter tags subsequently started spans with iteration k.
 func (t *Tracer) SetIter(k int) {
@@ -97,8 +86,7 @@ func (t *Tracer) Dropped() int64 {
 
 // Trace is the decoded form of an exported trace.
 type Trace struct {
-	Workers int
-	Events  []SpanEvent
+	Events []SpanEvent
 }
 
 // chromeEvent is one entry of the Chrome trace_event format ("X" = complete
@@ -115,11 +103,11 @@ type chromeEvent struct {
 }
 
 // chromeTrace is the JSON-object flavour of the trace file format, which
-// both chrome://tracing and Perfetto accept.
+// both chrome://tracing and Perfetto accept. Decoding ignores other
+// top-level keys, such as the "otherData" metadata older exports carry.
 type chromeTrace struct {
-	DisplayTimeUnit string            `json:"displayTimeUnit"`
-	OtherData       map[string]string `json:"otherData,omitempty"`
-	TraceEvents     []chromeEvent     `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	TraceEvents     []chromeEvent `json:"traceEvents"`
 }
 
 // WriteChromeTrace renders the recorded spans as a Chrome trace_event JSON
@@ -134,7 +122,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	})
 	ct := chromeTrace{
 		DisplayTimeUnit: "ms",
-		OtherData:       map[string]string{"workers": fmt.Sprint(t.Workers())},
 		TraceEvents:     make([]chromeEvent, len(events)),
 	}
 	for i, ev := range events {
@@ -162,9 +149,6 @@ func ReadChromeTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("obs: decoding chrome trace: %w", err)
 	}
 	tr := &Trace{}
-	if ws, ok := ct.OtherData["workers"]; ok {
-		fmt.Sscanf(ws, "%d", &tr.Workers) //nolint:errcheck // optional metadata
-	}
 	for _, ce := range ct.TraceEvents {
 		if ce.Ph != "X" {
 			continue

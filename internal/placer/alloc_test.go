@@ -8,12 +8,11 @@ import (
 
 // TestEvalSteadyStateAllocFree pins the zero-allocation contract of the full
 // objective/gradient evaluation (wirelength + density stamp + spectral solve
-// + field gather). The first call grows the wirelength lanes to the design's
-// pin count; every call after that must not touch the heap.
+// + field gather). The first call grows the wirelength model's chunk lanes;
+// every call after that must not touch the heap.
 func TestEvalSteadyStateAllocFree(t *testing.T) {
 	d := testDesign(t, 2000, 2)
 	cfg := DefaultConfig(wirelength.NewMoreau())
-	cfg.Workers = 1
 	cfg.GridX, cfg.GridY = 64, 64
 	en, pos, err := newEngine(d, cfg)
 	if err != nil {

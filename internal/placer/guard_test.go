@@ -29,41 +29,38 @@ func finitePositions(t *testing.T, res *Result) {
 // guardless run — every guard read is side-effect free — and Guard == nil
 // must cost nothing.
 func TestGuardNilAndIdleAreBitIdentical(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		dA := testDesign(t, 80, 0)
-		cfgA := resumeBase(workers)
-		resA, err := Place(dA, cfgA)
-		if err != nil {
-			t.Fatal(err)
-		}
+	dA := testDesign(t, 80, 0)
+	resA, err := Place(dA, resumeBase())
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		dB := testDesign(t, 80, 0)
-		cfgB := resumeBase(workers)
-		cfgB.Guard = &guard.Config{}
-		resB, err := Place(dB, cfgB)
-		if err != nil {
-			t.Fatal(err)
-		}
+	dB := testDesign(t, 80, 0)
+	cfgB := resumeBase()
+	cfgB.Guard = &guard.Config{}
+	resB, err := Place(dB, cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		if resB.GuardTrips != 0 || resB.GuardRollbacks != 0 {
-			t.Fatalf("workers=%d: healthy run tripped the guard: %d trips, %d rollbacks",
-				workers, resB.GuardTrips, resB.GuardRollbacks)
-		}
-		if resA.HPWL != resB.HPWL || resA.Overflow != resB.Overflow {
-			t.Errorf("workers=%d: HPWL/overflow diverged: %v/%v vs %v/%v",
-				workers, resA.HPWL, resA.Overflow, resB.HPWL, resB.Overflow)
-		}
-		if resA.Evaluations != resB.Evaluations {
-			t.Errorf("workers=%d: Evaluations = %d vs %d", workers, resA.Evaluations, resB.Evaluations)
-		}
-		if !reflect.DeepEqual(resA.Trajectory, resB.Trajectory) {
-			t.Errorf("workers=%d: trajectories diverged", workers)
-		}
-		for c := range dA.Cells {
-			if dA.X[c] != dB.X[c] || dA.Y[c] != dB.Y[c] {
-				t.Fatalf("workers=%d: cell %d diverged: (%v,%v) vs (%v,%v)",
-					workers, c, dA.X[c], dA.Y[c], dB.X[c], dB.Y[c])
-			}
+	if resB.GuardTrips != 0 || resB.GuardRollbacks != 0 {
+		t.Fatalf("healthy run tripped the guard: %d trips, %d rollbacks",
+			resB.GuardTrips, resB.GuardRollbacks)
+	}
+	if resA.HPWL != resB.HPWL || resA.Overflow != resB.Overflow {
+		t.Errorf("HPWL/overflow diverged: %v/%v vs %v/%v",
+			resA.HPWL, resA.Overflow, resB.HPWL, resB.Overflow)
+	}
+	if resA.Evaluations != resB.Evaluations {
+		t.Errorf("Evaluations = %d vs %d", resA.Evaluations, resB.Evaluations)
+	}
+	if !reflect.DeepEqual(resA.Trajectory, resB.Trajectory) {
+		t.Errorf("trajectories diverged")
+	}
+	for c := range dA.Cells {
+		if dA.X[c] != dB.X[c] || dA.Y[c] != dB.Y[c] {
+			t.Fatalf("cell %d diverged: (%v,%v) vs (%v,%v)",
+				c, dA.X[c], dA.Y[c], dB.X[c], dB.Y[c])
 		}
 	}
 }
@@ -75,7 +72,7 @@ func TestGuardNilAndIdleAreBitIdentical(t *testing.T) {
 // clean run (far inside the 1% acceptance tolerance).
 func TestGuardRecoversFromInjectedNaN(t *testing.T) {
 	dClean := testDesign(t, 80, 0)
-	clean, err := Place(dClean, resumeBase(1))
+	clean, err := Place(dClean, resumeBase())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +93,7 @@ func TestGuardRecoversFromInjectedNaN(t *testing.T) {
 
 	var events []guard.Event
 	d := testDesign(t, 80, 0)
-	cfg := resumeBase(1)
+	cfg := resumeBase()
 	cfg.Guard = &guard.Config{OnEvent: func(ev guard.Event) { events = append(events, ev) }}
 	res, err := Place(d, cfg)
 	if err != nil {
@@ -156,7 +153,7 @@ func TestGuardDivergenceErrorAfterRetryBudget(t *testing.T) {
 	defer func() { wirelength.GradHook = nil }()
 
 	d := testDesign(t, 80, 0)
-	cfg := resumeBase(1)
+	cfg := resumeBase()
 	cfg.Guard = &guard.Config{MaxRetries: 2}
 	res, err := Place(d, cfg)
 	var de *guard.DivergenceError
@@ -191,7 +188,7 @@ func TestGuardDivergenceErrorAfterRetryBudget(t *testing.T) {
 // same way as a wirelength fault.
 func TestGuardRecoversFromPoisonedSolve(t *testing.T) {
 	dClean := testDesign(t, 80, 0)
-	clean, err := Place(dClean, resumeBase(1))
+	clean, err := Place(dClean, resumeBase())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +206,7 @@ func TestGuardRecoversFromPoisonedSolve(t *testing.T) {
 	defer func() { density.SolveHook = nil }()
 
 	d := testDesign(t, 80, 0)
-	cfg := resumeBase(1)
+	cfg := resumeBase()
 	cfg.Guard = &guard.Config{}
 	res, err := Place(d, cfg)
 	if err != nil {
@@ -242,7 +239,7 @@ func TestUnguardedNaNDoesNotPanic(t *testing.T) {
 	defer func() { wirelength.GradHook = nil }()
 
 	d := testDesign(t, 80, 0)
-	res, err := Place(d, resumeBase(1))
+	res, err := Place(d, resumeBase())
 	if err != nil {
 		t.Fatalf("unguarded run errored (want silent garbage): %v", err)
 	}

@@ -84,7 +84,7 @@ func TestKillAtEveryIterationSweep(t *testing.T) {
 // only mismatched snapshots) cold-starts instead of failing, and
 // Resume+ResumeDir together are rejected by Validate.
 func TestResumeDirColdStartAndMismatch(t *testing.T) {
-	cfg := resumeBase(1)
+	cfg := resumeBase()
 	cfg.MaxIters = 5
 	cfg.ResumeDir = t.TempDir() // empty: cold start
 	res, err := Place(testDesign(t, 40, 0), cfg)
@@ -98,14 +98,14 @@ func TestResumeDirColdStartAndMismatch(t *testing.T) {
 	// A directory holding only a snapshot from a different setup also
 	// cold-starts (the fingerprint filter skips it).
 	dir := t.TempDir()
-	other := resumeBase(1)
+	other := resumeBase()
 	other.MaxIters = 4
 	other.Seed = 99
 	other.Checkpoint = CheckpointConfig{Every: 2, Dir: dir}
 	if _, err := Place(testDesign(t, 40, 0), other); err != nil {
 		t.Fatal(err)
 	}
-	cfg2 := resumeBase(1) // Seed 1 != 99: fingerprint mismatch
+	cfg2 := resumeBase() // Seed 1 != 99: fingerprint mismatch
 	cfg2.MaxIters = 5
 	cfg2.ResumeDir = dir
 	res2, err := Place(testDesign(t, 40, 0), cfg2)
@@ -116,7 +116,7 @@ func TestResumeDirColdStartAndMismatch(t *testing.T) {
 		t.Errorf("ResumedFrom = %d, want 0 (mismatch skipped)", res2.ResumedFrom)
 	}
 
-	bad := resumeBase(1)
+	bad := resumeBase()
 	bad.ResumeDir = dir
 	bad.Resume = &checkpoint.Snapshot{}
 	if err := bad.Validate(); err == nil {

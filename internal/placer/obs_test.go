@@ -156,7 +156,7 @@ func TestObsCancelCheckpointRace(t *testing.T) {
 	met.OnIteration = func(float64) { sinkCalls.Add(1) }
 	met.OnPhase = func(string, float64) { sinkCalls.Add(1) }
 
-	cfg := resumeBase(2) // parallel workers: eval spans come from pool goroutines
+	cfg := resumeBase()
 	cfg.Checkpoint = CheckpointConfig{Dir: dir}
 	cfg.Obs = &obs.Observer{Trace: obs.NewTracer(), Metrics: met}
 	cfg.OnIteration = func(pt TrajectoryPoint) bool {
@@ -180,7 +180,7 @@ func TestObsCancelCheckpointRace(t *testing.T) {
 	if snap.Iter < 10 {
 		t.Fatalf("cancel snapshot at iteration %d, want >= 10", snap.Iter)
 	}
-	c := resumeBase(2)
+	c := resumeBase()
 	c.Resume = snap
 	res, err := Place(testDesign(t, 60, 0), c)
 	if err != nil {

@@ -27,7 +27,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
-	"repro/internal/parallel"
 	"repro/internal/quadratic"
 	"repro/internal/wirelength"
 )
@@ -76,11 +75,11 @@ type Config struct {
 	// the DREAMPlace Jacobi preconditioner, equalizing step scales
 	// between hub cells and leaf cells.
 	Precondition bool
-	// Workers > 1 runs the whole evaluation pipeline — the wirelength
-	// model (which must be one of the named models), density stamping,
-	// the spectral Poisson solve, and the field gather — on a shared
-	// pool of that many goroutines. It changes only speed: a run computes
-	// the same bits at every worker count.
+	// Workers is ignored apart from validation, which still rejects a
+	// negative value: a placement runs its whole evaluation on the
+	// caller's goroutine. Run placements concurrently for parallelism.
+	//
+	// Deprecated: has no effect; kept because existing callers set it.
 	Workers int
 	// Obs, when non-nil, receives the run's observability streams:
 	// structured logs, per-phase trace spans (one per engine phase per
@@ -101,8 +100,7 @@ type Config struct {
 	// initialization. The snapshot's config fingerprint must match this
 	// run (same design, grid, model, optimizer, seed); otherwise
 	// PlaceContext fails with checkpoint.ErrMismatch. With a matching setup
-	// the resumed run finishes bit-identical to an uninterrupted one, at
-	// any worker count.
+	// the resumed run finishes bit-identical to an uninterrupted one.
 	Resume *checkpoint.Snapshot
 	// ResumeDir warm-starts the run from the newest snapshot in this
 	// directory whose config fingerprint matches the run, scanning
@@ -201,11 +199,9 @@ type engine struct {
 	wlD       *netlist.Design
 	mov       []int // released movable cell indices
 	numFrozen int   // movable cells pinned by Config.Freeze
-	workers   int   // shared worker-pool size (>= 1)
 
-	grid    *density.Grid
-	elec    *density.Electro
-	stamper *density.Stamper
+	grid *density.Grid
+	elec *density.Electro
 
 	// project clamps a position vector into the placeable region.
 	project func([]float64)
@@ -235,17 +231,9 @@ type engine struct {
 
 	lastEnergy float64
 
-	// Prebuilt hot-path closures and their parameter fields: closures
-	// handed to parallel.For / the stamper from inside eval would escape
-	// to the heap on every call, so they are constructed once (initHotPath)
-	// and read the current position/gradient vectors from pos/grad. eval
-	// is never called concurrently with itself, so plain fields are safe.
-	pos, grad    []float64
-	evalFn       func(pos, grad []float64) float64
-	fnGatherMov  func(w, lo, hi int)
-	fnGatherFill func(w, lo, hi int)
-	fnStampMov   func(i int) (float64, float64, float64, float64)
-	fnStampFill  func(f int) (float64, float64, float64, float64)
+	// evalFn is eval as a function value, built once: a method value
+	// created for every optimizer step would allocate.
+	evalFn func(pos, grad []float64) float64
 }
 
 // isFrozen reports whether cell i is pinned by Config.Freeze.
@@ -316,31 +304,13 @@ func (cfg *Config) Validate() error {
 	return nil
 }
 
-// optName resolves the optimizer config string to its canonical name.
-func optName(s string) string {
-	if s == "" {
-		return "nesterov"
-	}
-	return s
-}
-
-// effectiveWorkers resolves the worker-pool size (0 means serial).
-func (cfg *Config) effectiveWorkers() int {
-	if cfg.Workers > 0 {
-		return cfg.Workers
-	}
-	return 1
-}
-
 // newEngine builds the run state of one global placement: the density grid
-// and spectral solver (sized to the worker pool), fillers, per-entry half
-// dimensions, the initial position vector, and the projection operator. It
-// is the setup phase of PlaceContext, split out so equivalence tests and
-// benchmarks can drive engine.eval directly. cfg must already carry its
-// numeric defaults and a model built for cfg.Workers.
+// and spectral solver, fillers, per-entry half dimensions, the initial
+// position vector, and the projection operator. It is the setup phase of
+// PlaceContext, split out so tests and benchmarks can drive engine.eval
+// directly. cfg must already be valid and carry its numeric defaults.
 func newEngine(d *netlist.Design, cfg Config) (*engine, []float64, error) {
-	workers := cfg.effectiveWorkers()
-	en := &engine{d: d, wlD: d, cfg: cfg, mov: d.MovableIndices(), workers: workers}
+	en := &engine{d: d, wlD: d, cfg: cfg, mov: d.MovableIndices()}
 	if cfg.Freeze != nil {
 		if len(cfg.Freeze) != d.NumCells() {
 			return nil, nil, fmt.Errorf("placer: Freeze has %d entries, design has %d cells", len(cfg.Freeze), d.NumCells())
@@ -380,9 +350,8 @@ func newEngine(d *netlist.Design, cfg Config) (*engine, []float64, error) {
 		gy = gx
 	}
 	en.grid = density.NewGrid(d.Region, gx, gy)
-	en.elec = density.NewElectroWorkers(en.grid, workers)
+	en.elec = density.NewElectro(en.grid)
 	en.elec.Obs = cfg.Obs
-	en.stamper = density.NewStamper(en.grid, workers)
 
 	en.targetDensity = d.TargetDensity
 	if cfg.TargetDensity > 0 {
@@ -425,26 +394,21 @@ func newEngine(d *netlist.Design, cfg Config) (*engine, []float64, error) {
 		en.halfH[len(en.mov)+f] = en.fillerH / 2
 	}
 
-	// Initial placement.
-	initMode := cfg.Init
-	if initMode == "" {
-		initMode = "center"
-	}
-	switch initMode {
-	case "center", "keep":
-	case "quadratic":
+	// Initial placement: "center" (also "") jitters around the region
+	// center; "keep" and "quadratic" start from the design's positions,
+	// which quadratic placement first overwrites.
+	center := cfg.Init == "" || cfg.Init == "center"
+	if cfg.Init == "quadratic" {
 		if err := quadratic.PlaceB2B(d, quadratic.B2BOptions{}); err != nil {
 			return nil, nil, fmt.Errorf("placer: quadratic init: %w", err)
 		}
-	default:
-		return nil, nil, fmt.Errorf("placer: unknown init %q (want center, keep, or quadratic)", cfg.Init)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	cx, cy := d.Region.Center().X, d.Region.Center().Y
 	jx := d.Region.W() * 0.001
 	jy := d.Region.H() * 0.001
 	for i, c := range en.mov {
-		if initMode == "center" {
+		if center {
 			pos[i] = cx + rng.NormFloat64()*jx
 			pos[n+i] = cy + rng.NormFloat64()*jy
 		} else {
@@ -494,63 +458,8 @@ func newEngine(d *netlist.Design, cfg Config) (*engine, []float64, error) {
 
 	en.wgx = make([]float64, d.NumCells())
 	en.wgy = make([]float64, d.NumCells())
-	en.initHotPath()
-	return en, pos, nil
-}
-
-// initHotPath constructs the closures used by every eval once, so the
-// steady-state objective/gradient evaluation performs no allocations: the
-// stamping callbacks, the per-cell and per-filler field gather bodies, and
-// the optimizer's evaluation function (a method value created per call would
-// itself allocate).
-func (en *engine) initHotPath() {
-	d := en.d
-	n := len(en.mov) + en.numFillers
-	nm := len(en.mov)
 	en.evalFn = en.eval
-	en.fnStampMov = func(i int) (float64, float64, float64, float64) {
-		return en.pos[i], en.pos[n+i], 2 * en.halfW[i], 2 * en.halfH[i]
-	}
-	en.fnStampFill = func(f int) (float64, float64, float64, float64) {
-		i := nm + f
-		return en.pos[i], en.pos[n+i], en.fillerW, en.fillerH
-	}
-	// The per-cell field gather is embarrassingly parallel: entry i writes
-	// only grad[i] and grad[n+i] and reads shared immutable state, so the
-	// result is worker-count independent.
-	en.fnGatherMov = func(_, lo, hi int) {
-		pos, grad := en.pos, en.grad
-		for i := lo; i < hi; i++ {
-			c := en.mov[i]
-			fx, fy := en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], 2*en.halfW[i], 2*en.halfH[i])
-			grad[i] = en.wgx[c] - en.lambda*fx
-			grad[n+i] = en.wgy[c] - en.lambda*fy
-			if en.cfg.Precondition {
-				p := float64(len(d.PinsOfCell(c))) + en.lambda*d.Cells[c].Area()
-				if p < 1 {
-					p = 1
-				}
-				grad[i] /= p
-				grad[n+i] /= p
-			}
-		}
-	}
-	en.fnGatherFill = func(_, lo, hi int) {
-		pos, grad := en.pos, en.grad
-		fillerPre := 1.0
-		if en.cfg.Precondition {
-			fillerPre = en.lambda * en.fillerW * en.fillerH
-			if fillerPre < 1 {
-				fillerPre = 1
-			}
-		}
-		for f := lo; f < hi; f++ {
-			i := nm + f
-			fx, fy := en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], en.fillerW, en.fillerH)
-			grad[i] = -en.lambda * fx / fillerPre
-			grad[n+i] = -en.lambda * fy / fillerPre
-		}
-	}
+	return en, pos, nil
 }
 
 // Place runs global placement on d (in place) and returns the result.
@@ -583,29 +492,18 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("placer: %w", err)
 	}
-	workers := cfg.effectiveWorkers()
 	o := cfg.Obs
 	logger := o.Logger()
-	// Rebuild the named model on the worker pool and, with metrics enabled,
-	// with one branch-statistics counter shared by its kernels. A custom
-	// (unnamed) model stays untouched and runs serially.
+	// With metrics enabled, rebuild a named model with a branch-statistics
+	// counter. A custom (unnamed) model stays untouched and uncounted.
 	var mstats *moreau.Stats
 	if o != nil && o.Metrics != nil {
 		mstats = &moreau.Stats{}
-	}
-	if workers > 1 || mstats != nil {
-		m, err := wirelength.New(cfg.Model.Name(), workers, mstats)
-		switch {
-		case err == nil:
+		if m, err := wirelength.New(cfg.Model.Name(), mstats); err == nil {
 			cfg.Model = m
-		case workers > 1:
-			return nil, fmt.Errorf("placer: parallel wirelength: %w", err)
-		default:
+		} else {
 			mstats = nil
 		}
-	}
-	if o != nil && o.Trace != nil {
-		o.Trace.SetWorkers(workers)
 	}
 
 	start := time.Now()
@@ -617,16 +515,9 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 
 	gammaSched := GammaSchedule{Gamma0: cfg.Gamma0, BinW: en.grid.BinW, BinH: en.grid.BinH}
 	tSched := TSchedule{T0: cfg.T0, Delta: cfg.Delta, BinW: en.grid.BinW, BinH: en.grid.BinH}
-	useTangent := cfg.Model.ParamKind() == wirelength.ParamMoreauT
-	switch cfg.Schedule {
-	case "":
-	case "gamma":
-		useTangent = false
-	case "tangent":
-		useTangent = true
-	default:
-		return nil, fmt.Errorf("placer: unknown schedule %q (want gamma or tangent)", cfg.Schedule)
-	}
+	// Validate has rejected unknown schedules; "" picks by the model.
+	useTangent := cfg.Schedule == "tangent" ||
+		(cfg.Schedule == "" && cfg.Model.ParamKind() == wirelength.ParamMoreauT)
 	schedule := func(phi float64) float64 {
 		if useTangent {
 			return tSched.At(phi)
@@ -677,15 +568,13 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 	setup.End()
 	logger.Info("gp: starting",
 		"design", d.Name, "cells", d.NumCells(), "nets", d.NumNets(),
-		"model", cfg.Model.Name(), "optimizer", optName(cfg.Optimizer),
-		"workers", workers, "grid", fmt.Sprintf("%dx%d", en.grid.Nx, en.grid.Ny),
+		"model", cfg.Model.Name(), "optimizer", cfg.optimizerName(),
+		"grid", fmt.Sprintf("%dx%d", en.grid.Nx, en.grid.Ny),
 		"fillers", en.numFillers, "lambda0", en.lambda, "overflow0", en.overflow)
 
 	var opt optimizer.Optimizer
 	binScale := en.grid.BinW + en.grid.BinH
-	switch cfg.Optimizer {
-	case "", "nesterov":
-		opt = optimizer.NewNesterov(pos, 1e-3*binScale, en.project)
+	switch cfg.optimizerName() { // Validate has rejected unknown names
 	case "adam":
 		// Adam's normalized step moves each coordinate by up to LR per
 		// iteration; half a bin keeps spreading stable.
@@ -693,7 +582,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 	case "momentum":
 		opt = optimizer.NewMomentum(pos, 1e-2*binScale, 0.9, en.project)
 	default:
-		return nil, fmt.Errorf("placer: unknown optimizer %q (want nesterov, adam, or momentum)", cfg.Optimizer)
+		opt = optimizer.NewNesterov(pos, 1e-3*binScale, en.project)
 	}
 
 	res := &Result{ReleasedCells: len(en.mov), FrozenCells: en.numFrozen}
@@ -937,14 +826,18 @@ func (en *engine) unpack(pos []float64) {
 }
 
 // stampAndOverflow stamps movable cells, measures overflow, then stamps the
-// fillers on top (ready for the field solve) and returns the overflow. Both
-// stamping passes run on the engine's worker pool.
+// fillers on top (ready for the field solve) and returns the overflow.
 func (en *engine) stampAndOverflow(pos []float64) float64 {
-	en.pos = pos
+	nm := len(en.mov)
+	n := nm + en.numFillers
 	en.grid.Clear()
-	en.stamper.StampSmoothed(len(en.mov), en.fnStampMov)
+	for i := 0; i < nm; i++ {
+		en.grid.StampSmoothed(pos[i], pos[n+i], 2*en.halfW[i], 2*en.halfH[i])
+	}
 	phi := en.grid.Overflow(en.targetDensity, en.overflowArea)
-	en.stamper.StampSmoothed(en.numFillers, en.fnStampFill)
+	for i := nm; i < n; i++ {
+		en.grid.StampSmoothed(pos[i], pos[n+i], en.fillerW, en.fillerH)
+	}
 	return phi
 }
 
@@ -989,8 +882,35 @@ func (en *engine) eval(pos, grad []float64) float64 {
 	sp = o.StartPhase(obs.PhaseGather)
 	defer sp.End()
 
-	en.pos, en.grad = pos, grad
-	parallel.For(en.workers, len(en.mov), en.fnGatherMov)
-	parallel.For(en.workers, en.numFillers, en.fnGatherFill)
+	// Field gather: each entry's force over its smoothed footprint, plus
+	// the wirelength gradient for cells, optionally preconditioned.
+	d := en.d
+	nm := len(en.mov)
+	n := nm + en.numFillers
+	for i, c := range en.mov {
+		fx, fy := en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], 2*en.halfW[i], 2*en.halfH[i])
+		grad[i] = en.wgx[c] - en.lambda*fx
+		grad[n+i] = en.wgy[c] - en.lambda*fy
+		if en.cfg.Precondition {
+			p := float64(len(d.PinsOfCell(c))) + en.lambda*d.Cells[c].Area()
+			if p < 1 {
+				p = 1
+			}
+			grad[i] /= p
+			grad[n+i] /= p
+		}
+	}
+	fillerPre := 1.0
+	if en.cfg.Precondition {
+		fillerPre = en.lambda * en.fillerW * en.fillerH
+		if fillerPre < 1 {
+			fillerPre = 1
+		}
+	}
+	for i := nm; i < n; i++ {
+		fx, fy := en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], en.fillerW, en.fillerH)
+		grad[i] = -en.lambda * fx / fillerPre
+		grad[n+i] = -en.lambda * fy / fillerPre
+	}
 	return w + en.lambda*energy
 }

@@ -1,7 +1,9 @@
 package placer
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/netlist"
@@ -405,6 +407,10 @@ func TestPlacePreconditioned(t *testing.T) {
 	}
 }
 
+// TestPlaceParallelWirelengthMatches runs one model instance twice, the
+// second time with the deprecated Workers knob at 3 and through the early
+// stop on overflow: the model carries no state from one run into the next
+// and Workers changes nothing, so both runs reach the same HPWL bits.
 func TestPlaceParallelWirelengthMatches(t *testing.T) {
 	d1 := testDesign(t, 300, 0)
 	d2 := d1.Clone()
@@ -422,8 +428,46 @@ func TestPlaceParallelWirelengthMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every width computes the same bits.
 	if r1.HPWL != r2.HPWL {
-		t.Errorf("parallel placement diverged: %v vs %v", r1.HPWL, r2.HPWL)
+		t.Errorf("second run diverged: %v vs %v", r1.HPWL, r2.HPWL)
+	}
+}
+
+// TestPlaceParallelMatchesSerialRun pins that the deprecated Workers knob is
+// accepted and changes nothing: a short full placement at each Workers value
+// equals (==) the Workers 1 run in positions, HPWL, iteration count and
+// trajectory.
+func TestPlaceParallelMatchesSerialRun(t *testing.T) {
+	run := func(workers int) (*Result, *netlist.Design) {
+		d := testDesign(t, 400, 0)
+		cfg := fastConfig(wirelength.NewMoreau())
+		cfg.MaxIters = 60
+		cfg.RecordEvery = 5
+		cfg.Workers = workers
+		res, err := Place(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, d
+	}
+	ref, dRef := run(1)
+	if len(ref.Trajectory) == 0 {
+		t.Fatal("Workers 1 run recorded no trajectory")
+	}
+	for _, workers := range []int{2, 3, 4, 7, 16} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			res, d := run(workers)
+			if res.Iterations != ref.Iterations || res.HPWL != ref.HPWL {
+				t.Errorf("Workers %d: %d iterations, HPWL %v; Workers 1: %d, %v", workers, res.Iterations, res.HPWL, ref.Iterations, ref.HPWL)
+			}
+			for c := range dRef.X {
+				if d.X[c] != dRef.X[c] || d.Y[c] != dRef.Y[c] {
+					t.Fatalf("cell %d: Workers %d (%v,%v), Workers 1 (%v,%v)", c, workers, d.X[c], d.Y[c], dRef.X[c], dRef.Y[c])
+				}
+			}
+			if !reflect.DeepEqual(res.Trajectory, ref.Trajectory) {
+				t.Errorf("trajectories differ (%d vs %d points)", len(res.Trajectory), len(ref.Trajectory))
+			}
+		})
 	}
 }

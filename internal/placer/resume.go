@@ -11,7 +11,7 @@ import (
 // CheckpointConfig enables periodic crash-safe snapshots of a run. Snapshots
 // are written atomically into Dir under rotating names; together with the
 // deterministic evaluation pipeline they allow a killed run to resume and
-// finish with bit-identical positions and HPWL, at any worker count.
+// finish with bit-identical positions and HPWL.
 type CheckpointConfig struct {
 	// Every writes a snapshot after each that many completed iterations
 	// (0 disables periodic checkpointing; Validate rejects negatives).
@@ -42,8 +42,7 @@ func (cfg *Config) optimizerName() string {
 }
 
 // fingerprint pins the run setup a snapshot belongs to. Every field affects
-// the trajectory, so resume is refused unless all of them match. The worker
-// count does not: every width computes the same bits.
+// the trajectory, so resume is refused unless all of them match.
 func (en *engine) fingerprint() checkpoint.Fingerprint {
 	d := en.d
 	return checkpoint.Fingerprint{

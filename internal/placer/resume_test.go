@@ -13,30 +13,31 @@ import (
 // resumeBase is the shared config of the equivalence tests: long enough to
 // spread cells, small enough to run in milliseconds, and with a stop
 // overflow that never triggers so every run executes exactly MaxIters.
-func resumeBase(workers int) Config {
+func resumeBase() Config {
 	cfg := DefaultConfig(wirelength.NewWA())
 	cfg.MaxIters = 60
 	cfg.StopOverflow = 1e-9
 	cfg.GridX, cfg.GridY = 16, 16
 	cfg.RecordEvery = 7
-	cfg.Workers = workers
 	return cfg
 }
 
 // TestCheckpointResumeBitExact is the kill-and-resume equivalence check: a
-// run checkpointed at iteration k and restarted from the snapshot, at the
-// same or another worker count, must finish with bit-identical positions,
-// HPWL, and trajectory to a serial run that was never interrupted.
+// run checkpointed at iteration k and restarted from the snapshot must
+// finish with bit-identical positions, HPWL, and trajectory to a run that
+// was never interrupted. The deprecated Workers knob is accepted and
+// ignored, so a snapshot written at one Workers value resumes at another
+// with the same bits.
 func TestCheckpointResumeBitExact(t *testing.T) {
-	// Reference: uninterrupted serial run.
+	// Reference: uninterrupted run.
 	dA := testDesign(t, 80, 0)
-	resA, err := Place(dA, resumeBase(1))
+	resA, err := Place(dA, resumeBase())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name           string
-		write, resumed int // worker counts before and after the interruption
+		write, resumed int // Workers values before and after the interruption
 	}{
 		{"workers=1", 1, 1},
 		{"workers=3", 3, 3},
@@ -46,7 +47,8 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 			// Interrupted run: stops after 30 iterations, snapshots every 10.
 			dir := t.TempDir()
 			dB := testDesign(t, 80, 0)
-			cfgB := resumeBase(tc.write)
+			cfgB := resumeBase()
+			cfgB.Workers = tc.write
 			cfgB.MaxIters = 30
 			cfgB.Checkpoint = CheckpointConfig{Every: 10, Dir: dir, Keep: 2}
 			resB, err := Place(dB, cfgB)
@@ -74,7 +76,8 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 
 			// Resume on a fresh copy of the design and finish the run.
 			dC := testDesign(t, 80, 0)
-			cfgC := resumeBase(tc.resumed)
+			cfgC := resumeBase()
+			cfgC.Workers = tc.resumed
 			cfgC.Resume = snap
 			resC, err := Place(dC, cfgC)
 			if err != nil {
@@ -115,7 +118,7 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	dir := t.TempDir()
 	d := testDesign(t, 60, 0)
-	cfg := resumeBase(1)
+	cfg := resumeBase()
 	cfg.MaxIters = 10
 	cfg.Checkpoint = CheckpointConfig{Every: 5, Dir: dir}
 	if _, err := Place(d, cfg); err != nil {
@@ -137,7 +140,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := resumeBase(1)
+			c := resumeBase()
 			c.Resume = snap
 			tc.mut(&c)
 			_, err := Place(testDesign(t, 60, 0), c)
@@ -148,7 +151,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 
 	t.Run("different design", func(t *testing.T) {
-		c := resumeBase(1)
+		c := resumeBase()
 		c.Resume = snap
 		_, err := Place(testDesign(t, 90, 0), c)
 		if !errors.Is(err, checkpoint.ErrMismatch) {
@@ -163,7 +166,7 @@ func TestCheckpointOnCancel(t *testing.T) {
 	dir := t.TempDir()
 	d := testDesign(t, 60, 0)
 	ctx, cancel := context.WithCancel(context.Background())
-	cfg := resumeBase(1)
+	cfg := resumeBase()
 	cfg.Checkpoint = CheckpointConfig{Dir: dir} // no periodic writes: only the cancel path
 	cfg.OnIteration = func(pt TrajectoryPoint) bool {
 		if pt.Iter >= 12 {
@@ -182,7 +185,7 @@ func TestCheckpointOnCancel(t *testing.T) {
 	if snap.Iter < 12 {
 		t.Fatalf("cancel snapshot at iteration %d, want >= 12", snap.Iter)
 	}
-	c := resumeBase(1)
+	c := resumeBase()
 	c.Resume = snap
 	c.OnIteration = nil
 	res, err := Place(testDesign(t, 60, 0), c)
@@ -197,7 +200,7 @@ func TestCheckpointOnCancel(t *testing.T) {
 // TestCheckpointOnEarlyStop the OnIteration-stop path also snapshots.
 func TestCheckpointOnEarlyStop(t *testing.T) {
 	dir := t.TempDir()
-	cfg := resumeBase(1)
+	cfg := resumeBase()
 	cfg.Checkpoint = CheckpointConfig{Dir: dir}
 	cfg.OnIteration = func(pt TrajectoryPoint) bool { return pt.Iter < 7 }
 	res, err := Place(testDesign(t, 60, 0), cfg)

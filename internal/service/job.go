@@ -104,6 +104,9 @@ type job struct {
 	// warm-starts from the latest persisted snapshot (if any).
 	resume bool
 
+	// persistMu serializes the job's status writes (see Manager.persist).
+	persistMu sync.Mutex
+
 	mu     sync.Mutex
 	state  State
 	design string

@@ -277,12 +277,27 @@ func (m *Manager) jobContext(spec JobSpec) (context.Context, context.CancelFunc)
 
 // persist writes a job's current status to the store (no-op without one).
 // Best-effort by design: a failed status write must not take down a running
-// placement.
+// placement. A job's writes are serialized, each snapshotting the job under
+// the lock, so the file ends at the state of the last write.
 func (m *Manager) persist(j *job, override State) {
 	if m.store == nil {
 		return
 	}
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
 	m.store.SaveStatus(j.id, j.persisted(override)) //nolint:errcheck // best-effort
+}
+
+// persistQueued is Submit's first status write. The job is already visible
+// to the workers, so the write happens only while the job is still queued: a
+// job that has moved on is recorded by the write of its own transition, and
+// a late queued write must not overwrite a finished or interrupted status.
+func (m *Manager) persistQueued(j *job) {
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
+	if st := j.persisted(""); st.State == StateQueued {
+		m.store.SaveStatus(j.id, st) //nolint:errcheck // best-effort
+	}
 }
 
 // Telemetry returns the manager's metrics collector.
@@ -336,7 +351,7 @@ func (m *Manager) Submit(spec JobSpec) (JobView, error) {
 
 	if m.store != nil {
 		m.store.SaveSpec(j.id, spec) //nolint:errcheck // best-effort
-		m.persist(j, "")
+		m.persistQueued(j)
 	}
 	m.tel.JobsSubmitted.Inc()
 	m.tel.QueueDepth.Add(1)

@@ -98,9 +98,11 @@ type PlacerSpec struct {
 	Init         string  `json:"init,omitempty"`
 	Schedule     string  `json:"schedule,omitempty"`
 	RecordEvery  int     `json:"record_every,omitempty"`
-	// Workers sizes the shared placement worker pool (wirelength model,
-	// density stamping, spectral solve, field gather). It changes only
-	// speed: the result is the same bits at every worker count.
+	// Workers maps onto placer.Config.Workers, which rejects a negative
+	// value and otherwise ignores it: a job places on one goroutine, and
+	// placerd's -workers runs jobs concurrently.
+	//
+	// Deprecated: has no effect; kept because existing requests set it.
 	Workers      int  `json:"workers,omitempty"`
 	Precondition bool `json:"precondition,omitempty"`
 	// Guard enables the numerical-health guard (divergence detection plus

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// TestPlacerSpecWorkers pins the worker knob: placer.workers maps onto
-// placer.Config.Workers. The removed wl_workers alias is an unknown field: a
-// new request using it gets the submit handler's 400, while a spec persisted
-// with it still loads (the store decodes leniently) and runs at the default
-// width, which computes the same bits as any other.
+// TestPlacerSpecWorkers pins the deprecated worker knob: placer.workers maps
+// onto placer.Config.Workers, which ignores it but still rejects a negative
+// value at submit. The removed wl_workers alias is an unknown field: a new
+// request using it gets the submit handler's 400, while a spec persisted
+// with it still loads (the store decodes leniently) and runs.
 func TestPlacerSpecWorkers(t *testing.T) {
 	var spec JobSpec
 	if err := json.Unmarshal([]byte(`{"design": {"synth": {"cells": 100}}, "placer": {"workers": 4}}`), &spec); err != nil {
@@ -22,6 +22,10 @@ func TestPlacerSpecWorkers(t *testing.T) {
 	}
 	if err := spec.Validate(""); err != nil {
 		t.Fatalf("spec failed validation: %v", err)
+	}
+	spec.Placer.Workers = -1
+	if err := spec.Validate(""); err == nil {
+		t.Error("negative placer.workers passed validation")
 	}
 
 	const legacy = `{"design": {"synth": {"cells": 100}}, "placer": {"wl_workers": 3}}`

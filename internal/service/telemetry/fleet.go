@@ -142,16 +142,7 @@ func (c *FleetCollector) WritePrometheus(w io.Writer) {
 			func(wh WorkerHealth) string { return fmt.Sprintf("%d", wh.Running) })
 	}
 
-	fmt.Fprintf(w, "# HELP placercoord_submit_seconds Coordinator-side submit-to-assignment latency.\n")
-	fmt.Fprintf(w, "# TYPE placercoord_submit_seconds histogram\n")
-	h := c.SubmitSeconds
-	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "placercoord_submit_seconds_bucket{le=%q} %d\n", formatFloat(b), cum)
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "placercoord_submit_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "placercoord_submit_seconds_sum %s\n", formatFloat(h.Sum()))
-	fmt.Fprintf(w, "placercoord_submit_seconds_count %d\n", h.Count())
+	writeHistogram(w, "placercoord_submit_seconds", "Coordinator-side submit-to-assignment latency.", "", map[string]*Histogram{
+		"": c.SubmitSeconds,
+	})
 }

@@ -222,24 +222,24 @@ func (c *Collector) WritePrometheus(w io.Writer) {
 	gauge("placerd_last_hpwl", "Exact HPWL of the most recently finished job.", formatFloat(c.LastHPWL.Value()))
 	gauge("placerd_last_overflow", "Final density overflow of the most recently finished job.", formatFloat(c.LastOverflow.Value()))
 
-	c.writeHistogram(w, "placerd_stage_seconds", "Per-stage wall-clock latency in seconds.", "stage", map[string]*Histogram{
+	writeHistogram(w, "placerd_stage_seconds", "Per-stage wall-clock latency in seconds.", "stage", map[string]*Histogram{
 		"gp": c.GPSeconds, "lg": c.LGSeconds, "dp": c.DPSeconds,
 	})
-	c.writeHistogram(w, "placerd_job_seconds", "End-to-end job latency in seconds.", "", map[string]*Histogram{
+	writeHistogram(w, "placerd_job_seconds", "End-to-end job latency in seconds.", "", map[string]*Histogram{
 		"": c.TotalSeconds,
 	})
-	c.writeHistogram(w, "placerd_queue_wait_seconds", "Time jobs spent queued before starting.", "", map[string]*Histogram{
+	writeHistogram(w, "placerd_queue_wait_seconds", "Time jobs spent queued before starting.", "", map[string]*Histogram{
 		"": c.QueueSeconds,
 	})
-	c.writeHistogram(w, "placerd_gp_iteration_seconds", "Wall-clock latency of one optimizer iteration.", "", map[string]*Histogram{
+	writeHistogram(w, "placerd_gp_iteration_seconds", "Wall-clock latency of one optimizer iteration.", "", map[string]*Histogram{
 		"": c.IterationSeconds,
 	})
-	c.writeHistogram(w, "placerd_gp_phase_seconds", "Per-iteration engine phase latency in seconds.", "phase", c.PhaseSeconds)
+	writeHistogram(w, "placerd_gp_phase_seconds", "Per-iteration engine phase latency in seconds.", "phase", c.PhaseSeconds)
 }
 
 // writeHistogram renders one histogram family; map keys become a
 // labelKey="..." label (empty key = no label).
-func (c *Collector) writeHistogram(w io.Writer, name, help, labelKey string, hs map[string]*Histogram) {
+func writeHistogram(w io.Writer, name, help, labelKey string, hs map[string]*Histogram) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 	keys := make([]string, 0, len(hs))
 	for s := range hs {

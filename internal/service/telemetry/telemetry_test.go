@@ -95,13 +95,12 @@ func TestWritePrometheusFormat(t *testing.T) {
 // everything below it), the +Inf bucket equal to the total count, and the
 // sum/count pair.
 func TestHistogramExactExposition(t *testing.T) {
-	c := &Collector{}
 	h := NewHistogram(0.5, 2)
 	for _, v := range []float64{0.1, 0.5, 1, 3} {
 		h.Observe(v)
 	}
 	var sb strings.Builder
-	c.writeHistogram(&sb, "x_seconds", "Help text.", "stage", map[string]*Histogram{"gp": h})
+	writeHistogram(&sb, "x_seconds", "Help text.", "stage", map[string]*Histogram{"gp": h})
 	want := `# HELP x_seconds Help text.
 # TYPE x_seconds histogram
 x_seconds_bucket{stage="gp",le="0.5"} 2
@@ -116,7 +115,7 @@ x_seconds_count{stage="gp"} 4
 
 	// Without a label key the series carry no labels beyond le.
 	sb.Reset()
-	c.writeHistogram(&sb, "y_seconds", "H.", "", map[string]*Histogram{"": h})
+	writeHistogram(&sb, "y_seconds", "H.", "", map[string]*Histogram{"": h})
 	for _, line := range []string{
 		`y_seconds_bucket{le="+Inf"} 4`, "y_seconds_sum 4.6", "y_seconds_count 4",
 	} {
@@ -256,10 +255,40 @@ func TestFleetCollectorExposition(t *testing.T) {
 		{ID: "w1", AgeSeconds: 0.5, Live: true, Suspect: true, QueueDepth: 2, Running: 1},
 		{ID: "w0", AgeSeconds: 1.5, Live: true},
 	})
+	c.SubmitSeconds.Observe(0.25)
+	c.SubmitSeconds.Observe(1.5)
 
 	var sb strings.Builder
 	c.WritePrometheus(&sb)
 	out := sb.String()
+	var submit []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "placercoord_submit_seconds") {
+			submit = append(submit, line)
+		}
+	}
+	wantSubmit := []string{
+		"# HELP placercoord_submit_seconds Coordinator-side submit-to-assignment latency.",
+		"# TYPE placercoord_submit_seconds histogram",
+		`placercoord_submit_seconds_bucket{le="0.005"} 0`,
+		`placercoord_submit_seconds_bucket{le="0.02"} 0`,
+		`placercoord_submit_seconds_bucket{le="0.1"} 0`,
+		`placercoord_submit_seconds_bucket{le="0.5"} 1`,
+		`placercoord_submit_seconds_bucket{le="1"} 1`,
+		`placercoord_submit_seconds_bucket{le="2.5"} 2`,
+		`placercoord_submit_seconds_bucket{le="5"} 2`,
+		`placercoord_submit_seconds_bucket{le="10"} 2`,
+		`placercoord_submit_seconds_bucket{le="30"} 2`,
+		`placercoord_submit_seconds_bucket{le="60"} 2`,
+		`placercoord_submit_seconds_bucket{le="120"} 2`,
+		`placercoord_submit_seconds_bucket{le="300"} 2`,
+		`placercoord_submit_seconds_bucket{le="+Inf"} 2`,
+		"placercoord_submit_seconds_sum 1.75",
+		"placercoord_submit_seconds_count 2",
+	}
+	if strings.Join(submit, "\n") != strings.Join(wantSubmit, "\n") {
+		t.Errorf("submit histogram lines:\n%s\nwant:\n%s", strings.Join(submit, "\n"), strings.Join(wantSubmit, "\n"))
+	}
 	for _, want := range []string{
 		"placercoord_journal_records_total 5",
 		"placercoord_journal_replays_total 3",

@@ -22,19 +22,15 @@ func NetMoreau(x []float64, t float64, grad []float64) float64 {
 }
 
 // NewMoreau returns the Moreau-envelope wirelength model ("ME", ours). It
-// evaluates whole net ranges through moreau.GradBatch over the design's SoA
+// evaluates whole net chunks through moreau.GradBatch over the design's SoA
 // lanes — per-net arithmetic identical to the kernel path, minus the per-net
 // call overhead.
-func NewMoreau() Model { return newMoreau(1, nil) }
+func NewMoreau() Model { return newMoreau(nil) }
 
-// newMoreau builds the ME model with one batch evaluator per worker, each
-// with private sort scratch and all reporting into stats (nil disables
-// counting).
-func newMoreau(workers int, stats *moreau.Stats) *kernelModel {
-	batch := make([]*moreau.Evaluator, workers)
-	for w := range batch {
-		batch[w] = moreau.NewEvaluator(64)
-		batch[w].Stats = stats
-	}
-	return newKernelModel("ME", ParamMoreauT, nil, batch)
+// newMoreau builds the ME model around one batch evaluator with private sort
+// scratch, reporting into stats (nil disables counting).
+func newMoreau(stats *moreau.Stats) *kernelModel {
+	ev := moreau.NewEvaluator(64)
+	ev.Stats = stats
+	return &kernelModel{name: "ME", kind: ParamMoreauT, batch: ev}
 }

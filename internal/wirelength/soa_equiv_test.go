@@ -1,7 +1,6 @@
 package wirelength
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -67,12 +66,15 @@ func refKernelFor(t *testing.T, name string) Kernel {
 	return nil
 }
 
-// TestSoAMatchesPointerWalk compares every model, at each test width,
-// against the pointer-walk reference: gradients must be equal (==), since
-// each cell sums its weighted pin terms in the reference's scatter order;
-// the value agrees to 1e-12 relative, since it is summed per net chunk.
-// Net weights are perturbed after Build to pin the contract that lanes hold
-// topology only and weights are read at evaluation time.
+// TestSoAMatchesPointerWalk compares every model against the pointer-walk
+// reference on a design spanning several net chunks: gradients must be
+// equal (==), since each cell sums its weighted pin terms in the
+// reference's scatter order; the value agrees to 1e-12 relative, since it is
+// summed per net chunk. A second call on the same model, into buffers left
+// holding the first call's gradients, and a value-only call (nil gradients)
+// must repeat the first call exactly, which pins the reuse of the model's
+// scratch. Net weights are perturbed after Build to pin the contract that
+// lanes hold topology only and weights are read at evaluation time.
 func TestSoAMatchesPointerWalk(t *testing.T) {
 	d, err := synth.Generate(synth.Spec{
 		Name: "soa", NumMovable: 400, NumPads: 8, NumNets: 500,
@@ -86,33 +88,42 @@ func TestSoAMatchesPointerWalk(t *testing.T) {
 	}
 	n := d.NumCells()
 	for _, name := range append(AllModelNames(), "BiG_WA", "HPWL") {
-		p := 2.5
-		if name == "ME" {
-			p = 1.5
-		}
-		gxRef := make([]float64, n)
-		gyRef := make([]float64, n)
-		vRef := refPointerWalk(d, refKernelFor(t, name), p, gxRef, gyRef)
-		for _, workers := range testWidths {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				m, err := New(name, workers, nil)
-				if err != nil {
-					t.Fatal(err)
+		t.Run(name, func(t *testing.T) {
+			p := 2.5
+			if name == "ME" {
+				p = 1.5
+			}
+			gxRef := make([]float64, n)
+			gyRef := make([]float64, n)
+			vRef := refPointerWalk(d, refKernelFor(t, name), p, gxRef, gyRef)
+			m, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gx := make([]float64, n)
+			gy := make([]float64, n)
+			v := m.WirelengthGrad(d, p, gx, gy)
+			if math.Abs(v-vRef) > 1e-12*(1+math.Abs(vRef)) {
+				t.Errorf("value %g, pointer-walk reference %g", v, vRef)
+			}
+			for i := 0; i < n; i++ {
+				if gx[i] != gxRef[i] || gy[i] != gyRef[i] {
+					t.Fatalf("grad mismatch at cell %d: (%v,%v) vs (%v,%v)",
+						i, gx[i], gy[i], gxRef[i], gyRef[i])
 				}
-				gx := make([]float64, n)
-				gy := make([]float64, n)
-				v := m.WirelengthGrad(d, p, gx, gy)
-				if math.Abs(v-vRef) > 1e-12*(1+math.Abs(vRef)) {
-					t.Errorf("value %g, pointer-walk reference %g", v, vRef)
+			}
+			if v2 := m.WirelengthGrad(d, p, gx, gy); v2 != v {
+				t.Errorf("repeated call value %v, first %v", v2, v)
+			}
+			for i := 0; i < n; i++ {
+				if gx[i] != gxRef[i] || gy[i] != gyRef[i] {
+					t.Fatalf("repeated call grad mismatch at cell %d", i)
 				}
-				for i := 0; i < n; i++ {
-					if gx[i] != gxRef[i] || gy[i] != gyRef[i] {
-						t.Fatalf("grad mismatch at cell %d: (%v,%v) vs (%v,%v)",
-							i, gx[i], gy[i], gxRef[i], gyRef[i])
-					}
-				}
-			})
-		}
+			}
+			if v3 := m.WirelengthGrad(d, p, nil, nil); v3 != v {
+				t.Errorf("value-only call %v, gradient call %v", v3, v)
+			}
+		})
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/moreau"
 	"repro/internal/netlist"
-	"repro/internal/parallel"
 )
 
 // ParamKind selects the smoothing-parameter schedule a model requires.
@@ -136,124 +135,73 @@ func NetHPWL(x []float64, _ float64, grad []float64) float64 {
 	return hi - lo
 }
 
-// netChunk is the number of nets in one unit of the net pass. The
-// wirelength total is summed per chunk and then over chunks in chunk order,
-// so the chunk size, not the worker count, fixes the order of that sum.
+// netChunk is the number of nets in one unit of the net pass. It bounds the
+// model's scratch lanes, and the wirelength total is summed per chunk and
+// then over chunks in chunk order.
 const netChunk = 256
 
-// kernelModel adapts per-net Kernels (or Moreau batch evaluators) into a
+// kernelModel adapts a per-net Kernel (or a Moreau batch evaluator) into a
 // whole-design Model streaming over the design's SoA pin lanes. One
-// evaluation runs two passes on a pool of goroutines:
+// evaluation is a single pass over fixed-size chunks of netChunk nets: it
+// gathers a chunk's pin coordinates, runs the kernel, which writes each
+// pin's weight-scaled gradient into the chunk lanes gx/gy, and then adds
+// those entries to their cells in ascending pin order. That is the order of
+// a net-by-net scatter, so every cell receives the same additions in the
+// same order as the historical pointer-walk evaluator.
 //
-//   - the net pass walks fixed-size chunks of netChunk nets: it gathers a
-//     chunk's pin coordinates, runs the kernels, writes each pin's
-//     weight-scaled gradient into the pin lanes gx/gy (indexed like
-//     Design.Pins), and writes the chunk's wirelength into totals;
-//   - the cell pass sums each cell's pin-lane entries in Design.CellPins
-//     order.
-//
-// Every lane entry and chunk total has exactly one writer, and a cell adds
-// its pins' terms in ascending pin order, which is the order a serial
-// net-by-net scatter adds them. Values and gradients are therefore
-// bit-identical at every worker count.
-//
-// A kernelModel is not safe for concurrent WirelengthGrad calls: the lanes
-// and per-worker scratch are reused across calls. Create one model per
+// A kernelModel is not safe for concurrent WirelengthGrad calls: its lanes
+// and kernel scratch are reused across calls. Create one model per
 // concurrent placement run.
 type kernelModel struct {
 	name string
 	kind ParamKind
-	// kernels holds one per-net kernel per worker (kernels may keep private
-	// scratch). batch, when non-nil, holds one Moreau batch evaluator per
-	// worker instead and selects the batch path: whole net ranges evaluate
-	// in single GradBatch calls.
-	kernels []Kernel
-	batch   []*moreau.Evaluator
-	// lanes holds each worker's gather scratch; gx, gy are the pin gradient
-	// lanes and totals the per-chunk wirelength partials. All grow on demand
-	// and are reused, so the steady state allocates nothing.
-	lanes  []laneScratch
-	gx, gy []float64
-	totals []float64
-
-	// Prebuilt pass bodies and their per-call parameters: closures built
-	// inside WirelengthGrad would escape to the heap on every call.
-	d            *netlist.Design
-	p            float64
-	gradX, gradY []float64
-	fnNets       func(w, lo, hi int)
-	fnCells      func(w, lo, hi int)
+	// kernel is the per-net kernel (it may keep private scratch). batch,
+	// when non-nil, replaces it with a Moreau batch evaluator: each chunk
+	// evaluates in one GradBatch call per axis.
+	kernel Kernel
+	batch  *moreau.Evaluator
+	// cx, cy are the gathered pin coordinates of one chunk and gx, gy its
+	// weight-scaled pin gradients, indexed by pin position relative to the
+	// chunk's first pin; wts is the chunk's per-net weight lane for batch
+	// kernels. All grow on demand and are reused, so the steady state
+	// allocates nothing.
+	cx, cy, gx, gy []float64
+	wts            []float64
 }
 
-// NewKernelModel wraps a one-dimensional kernel as a full-design Model that
-// evaluates on the caller's goroutine.
+// NewKernelModel wraps a one-dimensional kernel as a full-design Model.
 func NewKernelModel(name string, kind ParamKind, k Kernel) Model {
-	return newKernelModel(name, kind, []Kernel{k}, nil)
-}
-
-// newKernelModel builds a model whose worker pool has one entry of kernels
-// (or of batch, when non-nil) per worker.
-func newKernelModel(name string, kind ParamKind, kernels []Kernel, batch []*moreau.Evaluator) *kernelModel {
-	m := &kernelModel{name: name, kind: kind, kernels: kernels, batch: batch}
-	m.lanes = make([]laneScratch, max(len(kernels), len(batch)))
-	m.fnNets = func(w, lo, hi int) {
-		d := m.d
-		ln := d.PinLanes()
-		s := &m.lanes[w]
-		var gx, gy []float64
-		if m.gradX != nil {
-			gx, gy = m.gx, m.gy
-		}
-		for c := lo; c < hi; c++ {
-			e0 := c * netChunk
-			e1 := min(e0+netChunk, d.NumNets())
-			if m.batch != nil {
-				m.totals[c] = evalBatchRange(d, ln, s, m.batch[w], e0, e1, m.p, gx, gy)
-			} else {
-				m.totals[c] = evalKernelRange(d, ln, s, m.kernels[w], e0, e1, m.p, gx, gy)
-			}
-		}
-	}
-	m.fnCells = func(_, lo, hi int) {
-		pins, starts := m.d.CellPins, m.d.CellPinStart
-		gx := m.gx
-		gy := m.gy[:len(gx)]
-		gradX, gradY := m.gradX[lo:hi], m.gradY[lo:hi]
-		for i := range gradX {
-			sx, sy := 0.0, 0.0
-			for _, pi := range pins[starts[lo+i]:starts[lo+i+1]] {
-				sx += gx[pi]
-				sy += gy[pi]
-			}
-			gradX[i], gradY[i] = sx, sy
-		}
-	}
-	return m
+	return &kernelModel{name: name, kind: kind, kernel: k}
 }
 
 func (m *kernelModel) Name() string         { return m.name }
 func (m *kernelModel) ParamKind() ParamKind { return m.kind }
 
 func (m *kernelModel) WirelengthGrad(d *netlist.Design, p float64, gradX, gradY []float64) float64 {
-	chunks := (d.NumNets() + netChunk - 1) / netChunk
-	if cap(m.totals) < chunks {
-		m.totals = make([]float64, chunks)
+	grad := gradX != nil
+	if grad {
+		clear(gradX[:d.NumCells()])
+		clear(gradY[:d.NumCells()])
 	}
-	if gradX != nil && cap(m.gx) < d.NumPins() {
-		m.gx = make([]float64, d.NumPins())
-		m.gy = make([]float64, d.NumPins())
-	}
-	workers := len(m.lanes)
-	m.d, m.p, m.gradX, m.gradY = d, p, gradX, gradY
-	parallel.For(workers, chunks, m.fnNets)
-	if gradX != nil {
-		parallel.For(workers, d.NumCells(), m.fnCells)
-	}
+	ln := d.PinLanes()
 	total := 0.0
-	for _, v := range m.totals[:chunks] {
-		total += v
+	for lo := 0; lo < d.NumNets(); lo += netChunk {
+		hi := min(lo+netChunk, d.NumNets())
+		pinLo, pinHi := m.gather(d, ln, lo, hi)
+		if m.batch != nil {
+			total += m.evalBatchRange(d, lo, hi, pinLo, pinHi, p, grad)
+		} else {
+			total += m.evalKernelRange(d, lo, hi, pinLo, p, grad)
+		}
+		if grad {
+			gx, gy := m.gx[:pinHi-pinLo], m.gy[:pinHi-pinLo]
+			for i, c := range ln.PinCell[pinLo:pinHi] {
+				gradX[c] += gx[i]
+				gradY[c] += gy[i]
+			}
+		}
 	}
-	if h := GradHook; h != nil && gradX != nil {
+	if h := GradHook; h != nil && grad {
 		h(m.name, gradX, gradY)
 	}
 	return total
@@ -261,45 +209,31 @@ func (m *kernelModel) WirelengthGrad(d *netlist.Design, p float64, gradX, gradY 
 
 // ByName constructs one of the comparison models used in the paper's tables:
 // "LSE", "WA", "BiG_CHKS", "ME" (ours), or "HPWL" (exact subgradient
-// reference). The lookup is case-insensitive on these exact names. The model
-// evaluates on the caller's goroutine; New builds one with a worker pool.
+// reference). The lookup is case-insensitive on these exact names.
 func ByName(name string) (Model, error) {
-	return New(name, 1, nil)
+	return New(name, nil)
 }
 
-// New constructs the named model (see ByName) evaluating on a pool of
-// workers goroutines; workers <= 1 runs on the caller's goroutine. Values
-// and gradients are bit-identical at every worker count. When stats is
-// non-nil and the model is the Moreau envelope, its evaluators report branch
-// statistics (evaluations, degenerate collapses, large sorts) into stats;
-// other models ignore stats.
-func New(name string, workers int, stats *moreau.Stats) (Model, error) {
-	workers = max(workers, 1)
-	var (
-		canon  string
-		kernel func() Kernel
-	)
+// New constructs the named model (see ByName). When stats is non-nil and
+// the model is the Moreau envelope, its evaluator reports branch statistics
+// (evaluations, degenerate collapses, large sorts) into stats; other models
+// ignore stats.
+func New(name string, stats *moreau.Stats) (Model, error) {
 	switch name {
 	case "LSE", "lse":
-		canon, kernel = "LSE", func() Kernel { return NetLSE }
+		return NewLSE(), nil
 	case "WA", "wa":
-		canon, kernel = "WA", func() Kernel { return NetWA }
+		return NewWA(), nil
 	case "BiG_CHKS", "big_chks", "BIG_CHKS", "big":
-		canon, kernel = "BiG_CHKS", NewBiGKernel
+		return NewBiGCHKS(), nil
 	case "BiG_WA", "big_wa", "BIG_WA":
-		canon, kernel = "BiG_WA", NewBiGWAKernel
+		return NewBiGWA(), nil
 	case "HPWL", "hpwl":
-		canon, kernel = "HPWL", func() Kernel { return NetHPWL }
+		return NewKernelModel("HPWL", ParamGamma, NetHPWL), nil
 	case "ME", "me", "moreau", "Moreau":
-		return newMoreau(workers, stats), nil
-	default:
-		return nil, fmt.Errorf("wirelength: unknown model %q (want LSE, WA, BiG_CHKS, BiG_WA, ME, or HPWL)", name)
+		return newMoreau(stats), nil
 	}
-	kernels := make([]Kernel, workers)
-	for w := range kernels {
-		kernels[w] = kernel()
-	}
-	return newKernelModel(canon, ParamGamma, kernels, nil), nil
+	return nil, fmt.Errorf("wirelength: unknown model %q (want LSE, WA, BiG_CHKS, BiG_WA, ME, or HPWL)", name)
 }
 
 // AllModelNames lists the models compared in Tables II/III, in table order.
