@@ -238,7 +238,9 @@ func writeTrace(t *obs.Tracer, path string) error {
 }
 
 // printPhaseSummary breaks the GP runtime down by engine phase, sorted by
-// total time spent.
+// total time spent, then prints the evaluation count and the named counters
+// sorted by name. density_reused explains why the density phases ran fewer
+// times than there were evaluations.
 func printPhaseSummary(m *obs.Metrics) {
 	snap := m.Snapshot()
 	if len(snap.PhaseSeconds) == 0 {
@@ -254,6 +256,15 @@ func printPhaseSummary(m *obs.Metrics) {
 	fmt.Println("phase            seconds   calls")
 	for _, p := range phases {
 		fmt.Printf("%-16s %-9.3f %d\n", p, snap.PhaseSeconds[p], snap.PhaseCalls[p])
+	}
+	fmt.Printf("evaluations: %d\n", snap.Evaluations)
+	names := make([]string, 0, len(snap.Counters))
+	for name := range snap.Counters {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Printf("%s: %d\n", name, snap.Counters[name])
 	}
 }
 

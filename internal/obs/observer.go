@@ -5,12 +5,17 @@ import "time"
 // Phase names used by the engine's per-iteration sub-spans (the Table-III
 // style runtime breakdown) and the coarse flow phases. The five engine
 // phases are the ones the service exports per-phase latency histograms for.
+//
+// Wirelength runs once per evaluation. Stamp, solve and gather run once per
+// density computation: the engine reuses the position-only half of the
+// objective when an evaluation repeats the point it was computed at, and
+// counts those evaluations as "density_reused".
 const (
 	PhaseWirelength = "wirelength"     // model gradient (per eval)
-	PhaseStamp      = "density-stamp"  // smoothed stamping + overflow
-	PhaseSolve      = "poisson-solve"  // spectral solve + energy
-	PhaseGather     = "field-gather"   // per-cell field sampling
-	PhaseStep       = "optimizer-step" // whole optimizer step (evals nest inside)
+	PhaseStamp      = "density-stamp"  // smoothed stamping + overflow (per density computation)
+	PhaseSolve      = "poisson-solve"  // spectral solve + energy (per density computation)
+	PhaseGather     = "field-gather"   // per-entry field sampling (per density computation)
+	PhaseStep       = "optimizer-step" // whole optimizer step (evals nest inside; self time includes gradient assembly)
 
 	PhaseIteration = "iteration" // umbrella span, one per loop iteration
 	PhaseSetup     = "gp-setup"  // grid, fillers, init, lambda calibration

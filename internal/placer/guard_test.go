@@ -185,16 +185,38 @@ func TestGuardDivergenceErrorAfterRetryBudget(t *testing.T) {
 
 // TestGuardRecoversFromPoisonedSolve one poisoned Poisson field output
 // propagates NaN through the density gradient; the guard absorbs it the
-// same way as a wirelength fault.
+// same way as a wirelength fault. The sweep over the poisoned solve's index
+// covers faults in density results that a later evaluation would reuse. Adam
+// evaluates each iterate once, so a fault on an iteration the guard
+// snapshots rolls back to the very point the poisoned result is kept for:
+// the rollback must drop it, or the replay repeats the fault.
 func TestGuardRecoversFromPoisonedSolve(t *testing.T) {
-	dClean := testDesign(t, 80, 0)
-	clean, err := Place(dClean, resumeBase())
-	if err != nil {
-		t.Fatal(err)
+	defer func() { density.SolveHook = nil }()
+	// lastAfter keeps the fault inside the run: Adam's 60 iterations make
+	// 60 solves (setup's, then one per iteration after the first).
+	for _, tc := range []struct {
+		optimizer string
+		lastAfter int
+	}{{"nesterov", 60}, {"adam", 59}} {
+		base := resumeBase()
+		base.Optimizer = tc.optimizer
+		clean, err := Place(testDesign(t, 80, 0), base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for after := 2; after <= tc.lastAfter; after++ {
+			poisonedSolveRun(t, base, after, clean.HPWL)
+		}
 	}
+}
 
+// poisonedSolveRun runs cfg under the guard with the (after+1)-th Poisson
+// solve poisoned and checks that the fault fires once, trips the guard, and
+// that the run still finishes at wantHPWL bit for bit.
+func poisonedSolveRun(t *testing.T, cfg Config, after int, wantHPWL float64) {
+	t.Helper()
 	plan := faultinject.NewPlan(faultinject.Fault{
-		Site: faultinject.SitePoissonSolve, Mode: faultinject.ModePoison, After: 35,
+		Site: faultinject.SitePoissonSolve, Mode: faultinject.ModePoison, After: after,
 	})
 	density.SolveHook = func(e *density.Electro) {
 		if _, ok := plan.Visit(faultinject.SitePoissonSolve); ok {
@@ -203,21 +225,20 @@ func TestGuardRecoversFromPoisonedSolve(t *testing.T) {
 			}
 		}
 	}
-	defer func() { density.SolveHook = nil }()
-
-	d := testDesign(t, 80, 0)
-	cfg := resumeBase()
 	cfg.Guard = &guard.Config{}
-	res, err := Place(d, cfg)
+	res, err := Place(testDesign(t, 80, 0), cfg)
 	if err != nil {
-		t.Fatalf("guarded run failed: %v", err)
+		t.Fatalf("%s, after %d: guarded run failed: %v", cfg.Optimizer, after, err)
+	}
+	if n := plan.Fired(faultinject.SitePoissonSolve); n != 1 {
+		t.Errorf("%s, after %d: fault fired %d times, want 1", cfg.Optimizer, after, n)
 	}
 	if res.GuardTrips < 1 {
-		t.Fatal("poisoned solve never tripped the guard")
+		t.Errorf("%s, after %d: poisoned solve never tripped the guard", cfg.Optimizer, after)
 	}
 	finitePositions(t, res)
-	if res.HPWL != clean.HPWL {
-		t.Errorf("HPWL after recovery = %v, want bit-identical %v", res.HPWL, clean.HPWL)
+	if res.HPWL != wantHPWL {
+		t.Errorf("%s, after %d: HPWL after recovery = %v, want bit-identical %v", cfg.Optimizer, after, res.HPWL, wantHPWL)
 	}
 }
 

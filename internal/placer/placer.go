@@ -231,6 +231,13 @@ type engine struct {
 
 	lastEnergy float64
 
+	// The position-only half of the objective (see density), kept for the
+	// point denKey so an evaluation at the bit-identical point skips it.
+	// denKey is empty when nothing is kept.
+	denKey                 []float64
+	fx, fy                 []float64 // field sampled per position entry
+	denOverflow, denEnergy float64
+
 	// evalFn is eval as a function value, built once: a method value
 	// created for every optimizer step would allocate.
 	evalFn func(pos, grad []float64) float64
@@ -458,6 +465,8 @@ func newEngine(d *netlist.Design, cfg Config) (*engine, []float64, error) {
 
 	en.wgx = make([]float64, d.NumCells())
 	en.wgy = make([]float64, d.NumCells())
+	en.fx = make([]float64, n)
+	en.fy = make([]float64, n)
 	en.evalFn = en.eval
 	return en, pos, nil
 }
@@ -556,13 +565,14 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 		logger.Info("gp: resuming from checkpoint", "design", d.Name, "iter", startIter, "overflow", en.overflow)
 	} else {
 		// Measure the initial overflow and calibrate lambda0 from the ratio
-		// of wirelength to density gradient magnitudes (ePlace).
+		// of wirelength to density gradient magnitudes (ePlace). The kept
+		// density result also serves the optimizer's first evaluation.
 		en.unpack(pos)
-		en.overflow = en.stampAndOverflow(pos)
+		en.density(pos)
+		en.overflow = en.denOverflow
 		en.param = schedule(en.overflow)
-		en.elec.SolveFromGrid()
-		lambda0 := en.calibrateLambda0(pos)
-		lu.Prime(lambda0, en.elec.Energy())
+		lambda0 := en.calibrateLambda0()
+		lu.Prime(lambda0, en.denEnergy)
 		en.lambda = lu.Lambda()
 	}
 	setup.End()
@@ -843,15 +853,13 @@ func (en *engine) stampAndOverflow(pos []float64) float64 {
 
 // calibrateLambda0 returns the ePlace initial density weight: the ratio of
 // the wirelength gradient L1 norm to the density gradient L1 norm at the
-// initial placement. The field must already be solved.
-func (en *engine) calibrateLambda0(pos []float64) float64 {
+// initial placement. density must already have run there.
+func (en *engine) calibrateLambda0() float64 {
 	en.cfg.Model.WirelengthGrad(en.wlD, en.param, en.wgx, en.wgy)
 	var wlNorm, denNorm float64
-	n := len(en.mov) + en.numFillers
 	for i, c := range en.mov {
 		wlNorm += math.Abs(en.wgx[c]) + math.Abs(en.wgy[c])
-		fx, fy := en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], 2*en.halfW[i], 2*en.halfH[i])
-		denNorm += math.Abs(fx) + math.Abs(fy)
+		denNorm += math.Abs(en.fx[i]) + math.Abs(en.fy[i])
 	}
 	if denNorm <= 0 {
 		return 1e-4
@@ -859,8 +867,46 @@ func (en *engine) calibrateLambda0(pos []float64) float64 {
 	return wlNorm / denNorm
 }
 
+// density computes the half of the objective that depends on positions
+// alone — stamping, overflow, the spectral solve, the energy, and the field
+// sampled at each entry's smoothed footprint — and keeps it for pos.
+func (en *engine) density(pos []float64) {
+	o := en.cfg.Obs
+	sp := o.StartPhase(obs.PhaseStamp)
+	en.denOverflow = en.stampAndOverflow(pos)
+	sp.End()
+	sp = o.StartPhase(obs.PhaseSolve)
+	en.elec.SolveFromGrid()
+	en.denEnergy = en.elec.Energy()
+	sp.End()
+	sp = o.StartPhase(obs.PhaseGather)
+	n := len(en.mov) + en.numFillers
+	for i := 0; i < n; i++ {
+		en.fx[i], en.fy[i] = en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], 2*en.halfW[i], 2*en.halfH[i])
+	}
+	sp.End()
+	en.denKey = append(en.denKey[:0], pos...)
+}
+
+// sameBits reports whether a and b hold bit-identical values, so -0 differs
+// from +0 and a NaN matches only the same NaN.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // eval is the full objective W + lambda*D with gradient, used by the
-// optimizer (including its backtracking trials).
+// optimizer (including its backtracking trials). The wirelength half is
+// recomputed every call, since its smoothing parameter moves between calls;
+// the density half is reused when pos repeats the last point density ran
+// at, which Nesterov's first evaluation of each step does.
 func (en *engine) eval(pos, grad []float64) float64 {
 	o := en.cfg.Obs
 	if o != nil {
@@ -871,26 +917,22 @@ func (en *engine) eval(pos, grad []float64) float64 {
 	w := en.cfg.Model.WirelengthGrad(en.wlD, en.param, en.wgx, en.wgy)
 	sp.End()
 
-	sp = o.StartPhase(obs.PhaseStamp)
-	en.overflow = en.stampAndOverflow(pos)
-	sp.End()
-	sp = o.StartPhase(obs.PhaseSolve)
-	en.elec.SolveFromGrid()
-	energy := en.elec.Energy()
-	en.lastEnergy = energy
-	sp.End()
-	sp = o.StartPhase(obs.PhaseGather)
-	defer sp.End()
+	if !sameBits(pos, en.denKey) {
+		en.density(pos)
+	} else if o != nil {
+		o.Metrics.Count("density_reused", 1)
+	}
+	en.overflow = en.denOverflow
+	en.lastEnergy = en.denEnergy
 
-	// Field gather: each entry's force over its smoothed footprint, plus
-	// the wirelength gradient for cells, optionally preconditioned.
+	// Gradient assembly: each entry's sampled force, plus the wirelength
+	// gradient for cells, optionally preconditioned.
 	d := en.d
 	nm := len(en.mov)
 	n := nm + en.numFillers
 	for i, c := range en.mov {
-		fx, fy := en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], 2*en.halfW[i], 2*en.halfH[i])
-		grad[i] = en.wgx[c] - en.lambda*fx
-		grad[n+i] = en.wgy[c] - en.lambda*fy
+		grad[i] = en.wgx[c] - en.lambda*en.fx[i]
+		grad[n+i] = en.wgy[c] - en.lambda*en.fy[i]
 		if en.cfg.Precondition {
 			p := float64(len(d.PinsOfCell(c))) + en.lambda*d.Cells[c].Area()
 			if p < 1 {
@@ -908,9 +950,8 @@ func (en *engine) eval(pos, grad []float64) float64 {
 		}
 	}
 	for i := nm; i < n; i++ {
-		fx, fy := en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], en.fillerW, en.fillerH)
-		grad[i] = -en.lambda * fx / fillerPre
-		grad[n+i] = -en.lambda * fy / fillerPre
+		grad[i] = -en.lambda * en.fx[i] / fillerPre
+		grad[n+i] = -en.lambda * en.fy[i] / fillerPre
 	}
-	return w + en.lambda*energy
+	return w + en.lambda*en.denEnergy
 }
