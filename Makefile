@@ -23,17 +23,17 @@ test:
 	$(GO) test ./...
 
 # The job manager (now including the durable store and result cache), the
-# checkpoint codec, telemetry, engine cancellation, the numerical-health
-# guard, and the fault injection harness must be clean under the race
-# detector; the placer suite includes the observed cancel-vs-checkpoint
-# race test, the service suite includes the kill-and-recover,
-# panic-isolation, and cache-hit tests, the fleet suite includes the journal
-# crash-recovery and cancel-vs-dispatch race tests, and the ecocache/netlist
-# suites cover the concurrent cache and content hashing the ECO fast path
-# keys on.
+# checkpoint codec, the durable-file layer, telemetry, engine cancellation,
+# the numerical-health guard, and the fault injection harness must be clean
+# under the race detector; the placer suite includes the observed
+# cancel-vs-checkpoint race test, the service suite includes the
+# kill-and-recover, panic-isolation, and cache-hit tests, the fleet suite
+# includes the journal crash-recovery and cancel-vs-dispatch race tests, the
+# durable suite races writers on one path, and the ecocache/netlist suites
+# cover the concurrent cache and content hashing the ECO fast path keys on.
 race:
 	$(GO) test -race ./internal/service/... ./internal/placer/... \
-		./internal/checkpoint/... ./internal/density/... \
+		./internal/checkpoint/... ./internal/durable/... ./internal/density/... \
 		./internal/wirelength/... \
 		./internal/obs/... ./internal/guard/... ./internal/faultinject/... \
 		./internal/fleet/... ./internal/chaos/... ./internal/ecocache/... \
@@ -41,11 +41,12 @@ race:
 
 # fuzz-seeds replays the fuzz seed corpora as regular tests (regression
 # mode, no exploration) so `make check` keeps the known-hostile Bookshelf
-# inputs and the content-hash invariance properties covered without the
-# open-ended fuzzing time.
+# inputs, the content-hash invariance properties and the torn and corrupt
+# record streams covered without the open-ended fuzzing time.
 fuzz-seeds:
 	$(GO) test -run=FuzzParse ./internal/bookshelf/
 	$(GO) test -run=FuzzContentHashInvariance ./internal/netlist/
+	$(GO) test -run=FuzzReadStream ./internal/durable/
 
 # fuzz explores: feed the Bookshelf parsers random inputs for a bounded time.
 # Any crasher is written to internal/bookshelf/testdata/fuzz/ — commit it as

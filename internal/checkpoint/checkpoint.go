@@ -8,18 +8,18 @@
 // HPWL to one that was never interrupted — the codec therefore captures the
 // state exactly (float bit patterns, not decimal round-trips).
 //
-// Files are written atomically (temp file + rename in the same directory),
-// so a crash mid-write never corrupts the previous snapshot; WriteRotating
-// keeps the last K snapshots and Latest picks the newest decodable one.
+// Framing and the atomic, fsynced file write are internal/durable's, so a
+// crash mid-write never corrupts the previous snapshot; WriteRotating keeps
+// the last K snapshots and LoadLatest picks the newest decodable one.
 package checkpoint
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 
+	"repro/internal/durable"
 	"repro/internal/optimizer"
 )
 
@@ -35,17 +35,14 @@ const (
 // Typed decode failures. Every malformed input maps onto one of these
 // (wrapped with detail); Decode never panics.
 var (
-	ErrBadMagic   = errors.New("checkpoint: not a placement snapshot (bad magic)")
-	ErrVersion    = errors.New("checkpoint: unsupported snapshot version")
-	ErrTruncated  = errors.New("checkpoint: truncated snapshot")
-	ErrChecksum   = errors.New("checkpoint: snapshot checksum mismatch")
+	ErrBadMagic   = durable.ErrBadMagic
+	ErrVersion    = durable.ErrVersion
+	ErrTruncated  = durable.ErrTruncated
+	ErrChecksum   = durable.ErrChecksum
 	ErrCorrupt    = errors.New("checkpoint: corrupt snapshot payload")
 	ErrMismatch   = errors.New("checkpoint: config fingerprint mismatch")
 	ErrNoSnapshot = errors.New("checkpoint: no usable snapshot found")
 )
-
-// castagnoli is the CRC-32C table (same polynomial as iSCSI/ext4 metadata).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Fingerprint pins a snapshot to the exact run configuration it came from.
 // Resume is refused unless every field matches: bit-exact resume holds only
@@ -295,8 +292,7 @@ func (d *dec) count(limit int, what string) int {
 	return int(n)
 }
 
-// Encode serializes the snapshot: magic, version, payload length, payload,
-// CRC-32C over everything before the checksum.
+// Encode serializes the snapshot in a durable.Seal frame.
 func Encode(s *Snapshot) []byte {
 	var p enc
 	f := s.Fingerprint
@@ -356,49 +352,17 @@ func Encode(s *Snapshot) []byte {
 	}
 	p.f64(s.SetupSeconds)
 	p.f64(s.LoopSeconds)
-
-	out := make([]byte, 0, len(Magic)+4+8+len(p.b)+4)
-	out = append(out, Magic...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(p.b)))
-	out = append(out, p.b...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
-	return out
+	return durable.Seal(Magic, Version, p.b)
 }
-
-// headerLen is magic + version + payload length.
-const headerLen = len(Magic) + 4 + 8
 
 // Decode parses a snapshot, validating magic, version, length, and checksum
 // before touching the payload. All failures return typed errors.
 func Decode(data []byte) (*Snapshot, error) {
-	if len(data) < headerLen {
-		if len(data) >= len(Magic) && string(data[:len(Magic)]) != Magic {
-			return nil, ErrBadMagic
-		}
-		return nil, ErrTruncated
+	payload, err := durable.Open(data, Magic, Version)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(Magic)]) != Magic {
-		return nil, ErrBadMagic
-	}
-	ver := binary.LittleEndian.Uint32(data[len(Magic):])
-	if ver != Version {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrVersion, ver, Version)
-	}
-	plen := binary.LittleEndian.Uint64(data[len(Magic)+4:])
-	if plen > uint64(len(data)-headerLen) {
-		return nil, ErrTruncated
-	}
-	total := headerLen + int(plen)
-	if len(data) < total+4 {
-		return nil, ErrTruncated
-	}
-	sum := binary.LittleEndian.Uint32(data[total:])
-	if crc32.Checksum(data[:total], castagnoli) != sum {
-		return nil, ErrChecksum
-	}
-
-	d := &dec{b: data[headerLen:total]}
+	d := &dec{b: payload}
 	s := &Snapshot{}
 	f := &s.Fingerprint
 	f.Design = d.str()

@@ -12,6 +12,9 @@ import (
 	"repro/internal/optimizer"
 )
 
+// headerLen is the frame header: magic + version + payload length.
+const headerLen = len(Magic) + 4 + 8
+
 // sampleSnapshot builds a representative snapshot with every field
 // populated, including non-finite and negative-zero floats that a decimal
 // codec would mangle.

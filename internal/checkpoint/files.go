@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // snapshot file names sort by iteration: ckpt-000000123.ckpt.
@@ -53,10 +55,9 @@ func FileName(iter int) string {
 // WriteFile atomically writes the snapshot to path, retrying transient
 // failures with jittered exponential backoff (writeAttempts attempts
 // total) so a momentary I/O error degrades to an OnWriteRetry
-// notification instead of a lost snapshot. Each attempt lands the bytes
-// in a temp file in the same directory, syncs, and renames over the
-// destination, so a crash at any point leaves either the old file or the
-// new one — never a torn write.
+// notification instead of a lost snapshot. Each attempt is one fsynced
+// durable.WriteFile, so a crash at any point leaves either the old file or
+// the new one — never a torn write.
 func WriteFile(path string, s *Snapshot) error {
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -80,25 +81,7 @@ func writeFileOnce(path string, s *Snapshot) error {
 			return fmt.Errorf("checkpoint: %w", err)
 		}
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*.tmp")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	data := Encode(s)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := durable.WriteFile(path, Encode(s), true); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil

@@ -1,9 +1,9 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/durable"
 )
 
 // ResultMagic identifies a cached placement-result file; ResultVersion is the
@@ -48,47 +48,18 @@ func EncodeResult(r *PlacementResult) []byte {
 	p.f64(r.Seconds)
 	p.vec(r.X)
 	p.vec(r.Y)
-
-	out := make([]byte, 0, len(ResultMagic)+4+8+len(p.b)+4)
-	out = append(out, ResultMagic...)
-	out = binary.LittleEndian.AppendUint32(out, ResultVersion)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(p.b)))
-	out = append(out, p.b...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
-	return out
+	return durable.Seal(ResultMagic, ResultVersion, p.b)
 }
 
 // DecodeResult parses a cached placement result, validating magic, version,
 // length, and checksum before the payload. Never panics; all failures map to
 // the package's typed errors.
 func DecodeResult(data []byte) (*PlacementResult, error) {
-	if len(data) < headerLen {
-		if len(data) >= len(ResultMagic) && string(data[:len(ResultMagic)]) != ResultMagic {
-			return nil, ErrBadMagic
-		}
-		return nil, ErrTruncated
+	payload, err := durable.Open(data, ResultMagic, ResultVersion)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(ResultMagic)]) != ResultMagic {
-		return nil, ErrBadMagic
-	}
-	ver := binary.LittleEndian.Uint32(data[len(ResultMagic):])
-	if ver != ResultVersion {
-		return nil, fmt.Errorf("%w: result version %d, this build reads %d", ErrVersion, ver, ResultVersion)
-	}
-	plen := binary.LittleEndian.Uint64(data[len(ResultMagic)+4:])
-	if plen > uint64(len(data)-headerLen) {
-		return nil, ErrTruncated
-	}
-	total := headerLen + int(plen)
-	if len(data) < total+4 {
-		return nil, ErrTruncated
-	}
-	sum := binary.LittleEndian.Uint32(data[total:])
-	if crc32.Checksum(data[:total], castagnoli) != sum {
-		return nil, ErrChecksum
-	}
-
-	d := &dec{b: data[headerLen:total]}
+	d := &dec{b: payload}
 	r := &PlacementResult{}
 	copy(r.DesignHash[:], d.take(len(r.DesignHash)))
 	r.ConfigKey = d.u64()

@@ -79,6 +79,44 @@ func TestCacheSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestCacheOpenRemovesCrashTemps: a kill -9 inside Put leaves its temp file
+// behind. Reopening deletes it, under both the current temp name and the
+// ".put-*" name of earlier builds, and the size bound does not count it;
+// foreign files stay.
+func TestCacheOpenRemovesCrashTemps(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(4, 12)
+	if err := c.Put(key, testResult(3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	want := c.Stats()
+	temps := []string{"." + testKey(5, 13).fileName() + ".4711.tmp", ".put-815"}
+	for _, name := range append(temps, "notes.txt") {
+		if err := os.WriteFile(filepath.Join(dir, name), make([]byte, 1000), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st != want {
+		t.Fatalf("reopened stats = %+v, want %+v", st, want)
+	}
+	for _, name := range temps {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("temp file %s survived reopen (err %v)", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
+		t.Errorf("foreign file removed: %v", err)
+	}
+}
+
 func TestCacheDropsCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir, Options{})

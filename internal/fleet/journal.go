@@ -1,27 +1,23 @@
 package fleet
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/service"
 )
 
 // The coordinator's job journal is an append-only record of every job-state
-// transition that matters for crash recovery, framed with the same codec
-// discipline as the checkpoint store (internal/checkpoint): a magic+version
-// header, then length-prefixed records each guarded by a CRC-32C of the
-// payload. Replay stops at the first bad frame — a torn tail from a crash
-// mid-append loses at most the record being written, never the prefix — and
-// the file is truncated back to the last good frame before appending
-// resumes.
+// transition that matters for crash recovery, framed as an internal/durable
+// record stream: a magic+version header, then length-prefixed records each
+// guarded by a CRC-32C of the payload. Replay stops at the first bad frame —
+// a torn tail from a crash mid-append loses at most the record being
+// written, never the prefix — and the file is truncated back to the last
+// good frame before appending resumes.
 const (
 	journalMagic   = "MEGPJRNL"
 	journalVersion = 1
@@ -34,16 +30,14 @@ const (
 // expected crash artifact); these fire only when the file is not a journal
 // at all.
 var (
-	ErrJournalMagic   = errors.New("fleet: journal has wrong magic")
-	ErrJournalVersion = errors.New("fleet: unsupported journal version")
+	ErrJournalMagic   = durable.ErrBadMagic
+	ErrJournalVersion = durable.ErrVersion
 )
 
 // errJournalBroken marks a journal whose handle was lost (the reopen after a
 // compaction rename failed): appends must fail loudly rather than fsync into
 // the unlinked pre-compaction inode.
 var errJournalBroken = errors.New("fleet: journal broken (reopen after compaction failed)")
-
-var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Journal record kinds, in the order a job's life emits them.
 const (
@@ -92,34 +86,23 @@ func openJournal(path string) (*Journal, []journalRecord, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	// Delete the temp files of compactions a crash cut short: durable's,
+	// and the fixed "<journal>.tmp" of earlier builds.
+	durable.RemoveTemps(path)
+	os.Remove(path + ".tmp") //nolint:errcheck // best-effort cleanup
+	if validLen == 0 {
+		// Fresh (or empty) file: stamp the header.
+		err = durable.WriteFile(path, durable.Header(journalMagic, journalVersion), true)
+	} else {
+		// Drop the torn tail (no-op when the file ended cleanly).
+		err = os.Truncate(path, validLen)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if validLen == 0 {
-		// Fresh (or empty) file: stamp the header.
-		hdr := make([]byte, 0, len(journalMagic)+4)
-		hdr = append(hdr, journalMagic...)
-		hdr = binary.LittleEndian.AppendUint32(hdr, journalVersion)
-		if _, err := f.Write(hdr); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	} else {
-		// Drop the torn tail (no-op when the file ended cleanly) and position
-		// at the end of the last good frame.
-		if err := f.Truncate(validLen); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, err
 	}
 	return &Journal{path: path, f: f}, recs, nil
 }
@@ -135,42 +118,16 @@ func readJournal(path string) ([]journalRecord, int64, error) {
 		return nil, 0, err
 	}
 	defer f.Close()
-	hdr := make([]byte, len(journalMagic)+4)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, 0, nil // shorter than a header: treat as empty
-	}
-	if string(hdr[:len(journalMagic)]) != journalMagic {
-		return nil, 0, fmt.Errorf("%w: %q", ErrJournalMagic, hdr[:len(journalMagic)])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[len(journalMagic):]); v != journalVersion {
-		return nil, 0, fmt.Errorf("%w: %d", ErrJournalVersion, v)
-	}
 	var recs []journalRecord
-	valid := int64(len(hdr))
-	frame := make([]byte, 8)
-	for {
-		if _, err := io.ReadFull(f, frame); err != nil {
-			return recs, valid, nil
-		}
-		n := binary.LittleEndian.Uint32(frame[:4])
-		sum := binary.LittleEndian.Uint32(frame[4:])
-		if n == 0 || n > journalMaxRecord {
-			return recs, valid, nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return recs, valid, nil
-		}
-		if crc32.Checksum(payload, journalCRC) != sum {
-			return recs, valid, nil
-		}
+	valid, err := durable.ReadStream(f, journalMagic, journalVersion, journalMaxRecord, func(payload []byte) bool {
 		var rec journalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, valid, nil
+		if json.Unmarshal(payload, &rec) != nil {
+			return false
 		}
 		recs = append(recs, rec)
-		valid += int64(8 + n)
-	}
+		return true
+	})
+	return recs, valid, err
 }
 
 // Append frames, writes, and fsyncs one record.
@@ -179,10 +136,7 @@ func (j *Journal) Append(rec journalRecord) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, 8+len(payload))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, journalCRC))
-	buf = append(buf, payload...)
+	buf := durable.AppendRecord(make([]byte, 0, 8+len(payload)), payload)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -207,48 +161,21 @@ func (j *Journal) AppendedSinceCompact() int {
 }
 
 // Compact atomically replaces the journal with a snapshot of the given
-// records (temp file + fsync + rename, like every durable write in this
-// repo), then reopens for appends. The snapshot is the coordinator's live
-// job table re-serialized, so replay cost stays proportional to retained
-// jobs instead of total history.
+// records (an fsynced durable.WriteFile), then reopens for appends. The
+// snapshot is the coordinator's live job table re-serialized, so replay cost
+// stays proportional to retained jobs instead of total history.
 func (j *Journal) Compact(recs []journalRecord) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	tmp := j.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 4096)
-	buf = append(buf, journalMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, journalVersion)
+	buf := durable.Header(journalMagic, journalVersion)
 	for _, rec := range recs {
 		payload, err := json.Marshal(rec)
 		if err != nil {
-			f.Close()
-			os.Remove(tmp)
 			return err
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, journalCRC))
-		buf = append(buf, payload...)
+		buf = durable.AppendRecord(buf, payload)
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		os.Remove(tmp)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := durable.WriteFile(j.path, buf, true); err != nil {
 		return err
 	}
 	old := j.f

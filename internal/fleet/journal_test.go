@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -66,6 +69,81 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if !got[0].Submitted.Equal(want[0].Submitted) {
 		t.Errorf("Submitted = %v, want %v", got[0].Submitted, want[0].Submitted)
+	}
+}
+
+// TestJournalGoldenBytes pins the journal's on-disk bytes after three
+// appends and after a compaction: a journal written by an earlier build must
+// replay, so any change to these bytes is a format change.
+func TestJournalGoldenBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	j, _, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	pin := func(stage string, size int, sha string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if len(data) != size || hex.EncodeToString(sum[:]) != sha {
+			t.Errorf("%s: %d bytes, sha256 %x; want %d bytes, sha256 %s", stage, len(data), sum, size, sha)
+		}
+	}
+	for i := 1; i <= 3; i++ {
+		if err := j.Append(testRecord(fmt.Sprintf("fj-%06d", i), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pin("appended", 939, "6eb1047a6fbb97951b6a86b79ce28ef460f13137a81ec2ebe9fbd935a79d31e8")
+	if err := j.Compact([]journalRecord{{Kind: recMeta, Seq: 42}, testRecord("fj-000042", 42)}); err != nil {
+		t.Fatal(err)
+	}
+	pin("compacted", 390, "acea57b96b5040e152c8490b3adb2fc2fc96e69a924cd1957e5b5dd41b16a2f7")
+}
+
+// TestJournalOpenRemovesCompactionTemps: a crash mid-compaction leaves the
+// snapshot's temp file beside the journal. Reopening deletes it, under both
+// the current temp name and the fixed "<journal>.tmp" of earlier builds, and
+// leaves other files in the directory alone.
+func TestJournalOpenRemovesCompactionTemps(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal")
+	j, _, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(testRecord("fj-000001", 1)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	temps := []string{".journal.4711.tmp", "journal.tmp"}
+	others := []string{".other.4711.tmp", "other.tmp"}
+	for _, name := range append(temps, others...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j2, recs, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	if len(recs) != 1 {
+		t.Fatalf("replayed %d records, want 1", len(recs))
+	}
+	for _, name := range temps {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("compaction temp %s survived reopen (err %v)", name, err)
+		}
+	}
+	for _, name := range others {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("unrelated file %s removed: %v", name, err)
+		}
 	}
 }
 

@@ -83,27 +83,21 @@ func (c *FleetCollector) SetWorkerHealth(ws []WorkerHealth) {
 // exposition format (version 0.0.4).
 func (c *FleetCollector) WritePrometheus(w io.Writer) {
 	WriteBuildInfo(w, "placercoord")
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("placercoord_jobs_submitted_total", "Jobs accepted by admission control.", c.JobsSubmitted.Value())
-	counter("placercoord_jobs_rejected_total", "Jobs rejected with 429 (rate limit, quota, or saturation).", c.JobsRejected.Value())
-	counter("placercoord_jobs_assigned_total", "Jobs successfully placed on a worker.", c.JobsAssigned.Value())
-	counter("placercoord_jobs_rerouted_total", "Jobs re-routed off a dead worker.", c.JobsRerouted.Value())
-	counter("placercoord_jobs_stolen_total", "Queued jobs stolen from a hot node onto an idle one.", c.JobsStolen.Value())
-	counter("placercoord_affinity_hits_total", "Submissions routed by checkpoint affinity.", c.AffinityHits.Value())
-	counter("placercoord_parent_routes_total", "ECO children routed to the worker holding the parent placement.", c.ParentRoutes.Value())
-	counter("placercoord_proxy_errors_total", "Failed coordinator-to-worker HTTP calls.", c.ProxyErrors.Value())
-	counter("placercoord_heartbeats_total", "Worker heartbeat reports received.", c.Heartbeats.Value())
-	counter("placercoord_journal_records_total", "Records appended to the crash-safety job journal.", c.JournalRecords.Value())
-	counter("placercoord_journal_replays_total", "Journal records replayed at coordinator boot.", c.JournalReplays.Value())
-	counter("placercoord_journal_recovered_jobs_total", "Non-terminal jobs reconstructed from the journal at boot.", c.JobsRecovered.Value())
-	gauge("placercoord_workers_live", "Workers currently within their heartbeat TTL.", c.WorkersLive.Value())
-	gauge("placercoord_workers_suspect", "Workers whose circuit breaker is open (dispatches failing).", c.WorkersSuspect.Value())
-	gauge("placercoord_jobs_pending", "Admitted jobs waiting for fleet capacity.", c.JobsPending.Value())
+	writeScalar(w, "counter", "placercoord_jobs_submitted_total", "Jobs accepted by admission control.", c.JobsSubmitted.Value())
+	writeScalar(w, "counter", "placercoord_jobs_rejected_total", "Jobs rejected with 429 (rate limit, quota, or saturation).", c.JobsRejected.Value())
+	writeScalar(w, "counter", "placercoord_jobs_assigned_total", "Jobs successfully placed on a worker.", c.JobsAssigned.Value())
+	writeScalar(w, "counter", "placercoord_jobs_rerouted_total", "Jobs re-routed off a dead worker.", c.JobsRerouted.Value())
+	writeScalar(w, "counter", "placercoord_jobs_stolen_total", "Queued jobs stolen from a hot node onto an idle one.", c.JobsStolen.Value())
+	writeScalar(w, "counter", "placercoord_affinity_hits_total", "Submissions routed by checkpoint affinity.", c.AffinityHits.Value())
+	writeScalar(w, "counter", "placercoord_parent_routes_total", "ECO children routed to the worker holding the parent placement.", c.ParentRoutes.Value())
+	writeScalar(w, "counter", "placercoord_proxy_errors_total", "Failed coordinator-to-worker HTTP calls.", c.ProxyErrors.Value())
+	writeScalar(w, "counter", "placercoord_heartbeats_total", "Worker heartbeat reports received.", c.Heartbeats.Value())
+	writeScalar(w, "counter", "placercoord_journal_records_total", "Records appended to the crash-safety job journal.", c.JournalRecords.Value())
+	writeScalar(w, "counter", "placercoord_journal_replays_total", "Journal records replayed at coordinator boot.", c.JournalReplays.Value())
+	writeScalar(w, "counter", "placercoord_journal_recovered_jobs_total", "Non-terminal jobs reconstructed from the journal at boot.", c.JobsRecovered.Value())
+	writeScalar(w, "gauge", "placercoord_workers_live", "Workers currently within their heartbeat TTL.", c.WorkersLive.Value())
+	writeScalar(w, "gauge", "placercoord_workers_suspect", "Workers whose circuit breaker is open (dispatches failing).", c.WorkersSuspect.Value())
+	writeScalar(w, "gauge", "placercoord_jobs_pending", "Admitted jobs waiting for fleet capacity.", c.JobsPending.Value())
 
 	c.workersMu.Lock()
 	workers := c.workers

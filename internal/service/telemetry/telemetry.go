@@ -184,15 +184,8 @@ func (c *Collector) ObservePhase(phase string, seconds float64) {
 // format (version 0.0.4).
 func (c *Collector) WritePrometheus(w io.Writer) {
 	WriteBuildInfo(w, "placerd")
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, v)
-	}
-
-	counter("placerd_jobs_submitted_total", "Jobs accepted into the queue.", c.JobsSubmitted.Value())
-	counter("placerd_jobs_rejected_total", "Jobs rejected at submit (queue full or draining).", c.JobsRejected.Value())
+	writeScalar(w, "counter", "placerd_jobs_submitted_total", "Jobs accepted into the queue.", c.JobsSubmitted.Value())
+	writeScalar(w, "counter", "placerd_jobs_rejected_total", "Jobs rejected at submit (queue full or draining).", c.JobsRejected.Value())
 
 	fmt.Fprintf(w, "# HELP placerd_jobs_finished_total Jobs that reached a terminal state.\n")
 	fmt.Fprintf(w, "# TYPE placerd_jobs_finished_total counter\n")
@@ -200,27 +193,27 @@ func (c *Collector) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "placerd_jobs_finished_total{state=\"failed\"} %d\n", c.JobsFailed.Value())
 	fmt.Fprintf(w, "placerd_jobs_finished_total{state=\"cancelled\"} %d\n", c.JobsCancelled.Value())
 
-	counter("placerd_jobs_recovered_total", "Jobs re-enqueued from the durable store at boot.", c.JobsRecovered.Value())
-	counter("placerd_jobs_interrupted_total", "Running jobs persisted as interrupted during shutdown.", c.JobsInterrupted.Value())
-	counter("placerd_jobs_panicked_total", "Worker runs that ended in a recovered panic.", c.JobsPanicked.Value())
+	writeScalar(w, "counter", "placerd_jobs_recovered_total", "Jobs re-enqueued from the durable store at boot.", c.JobsRecovered.Value())
+	writeScalar(w, "counter", "placerd_jobs_interrupted_total", "Running jobs persisted as interrupted during shutdown.", c.JobsInterrupted.Value())
+	writeScalar(w, "counter", "placerd_jobs_panicked_total", "Worker runs that ended in a recovered panic.", c.JobsPanicked.Value())
 
-	counter("placerd_guard_trips_total", "Numerical-health guard invariant violations.", c.GuardTrips.Value())
-	counter("placerd_guard_rollbacks_total", "Guard rollbacks to an earlier snapshot.", c.GuardRollbacks.Value())
-	counter("placerd_guard_recoveries_total", "Divergence episodes closed cleanly after rollback.", c.GuardRecoveries.Value())
-	counter("placerd_checkpoint_write_retries_total", "Transient checkpoint write failures absorbed by retry.", c.CheckpointRetries.Value())
+	writeScalar(w, "counter", "placerd_guard_trips_total", "Numerical-health guard invariant violations.", c.GuardTrips.Value())
+	writeScalar(w, "counter", "placerd_guard_rollbacks_total", "Guard rollbacks to an earlier snapshot.", c.GuardRollbacks.Value())
+	writeScalar(w, "counter", "placerd_guard_recoveries_total", "Divergence episodes closed cleanly after rollback.", c.GuardRecoveries.Value())
+	writeScalar(w, "counter", "placerd_checkpoint_write_retries_total", "Transient checkpoint write failures absorbed by retry.", c.CheckpointRetries.Value())
 
-	counter("placerd_cache_hits_total", "Jobs served bit-identically from the placement-result cache.", c.CacheHits.Value())
-	counter("placerd_cache_near_hits_total", "Jobs warm-started from a parent's cached placement (partial release).", c.CacheNearHits.Value())
-	counter("placerd_cache_misses_total", "Cache-enabled jobs that cold-started.", c.CacheMisses.Value())
+	writeScalar(w, "counter", "placerd_cache_hits_total", "Jobs served bit-identically from the placement-result cache.", c.CacheHits.Value())
+	writeScalar(w, "counter", "placerd_cache_near_hits_total", "Jobs warm-started from a parent's cached placement (partial release).", c.CacheNearHits.Value())
+	writeScalar(w, "counter", "placerd_cache_misses_total", "Cache-enabled jobs that cold-started.", c.CacheMisses.Value())
 
-	gauge("placerd_queue_depth", "Jobs waiting in the queue.", fmt.Sprintf("%d", c.QueueDepth.Value()))
-	gauge("placerd_jobs_running", "Jobs currently placing.", fmt.Sprintf("%d", c.JobsRunning.Value()))
-	gauge("placerd_cache_entries", "Entries in the placement-result cache.", fmt.Sprintf("%d", c.CacheEntries.Value()))
-	gauge("placerd_cache_bytes", "Bytes held by the placement-result cache.", fmt.Sprintf("%d", c.CacheBytes.Value()))
+	writeScalar(w, "gauge", "placerd_queue_depth", "Jobs waiting in the queue.", c.QueueDepth.Value())
+	writeScalar(w, "gauge", "placerd_jobs_running", "Jobs currently placing.", c.JobsRunning.Value())
+	writeScalar(w, "gauge", "placerd_cache_entries", "Entries in the placement-result cache.", c.CacheEntries.Value())
+	writeScalar(w, "gauge", "placerd_cache_bytes", "Bytes held by the placement-result cache.", c.CacheBytes.Value())
 
-	counter("placerd_gp_iterations_total", "Global placement iterations across all jobs.", c.Iterations.Value())
-	gauge("placerd_last_hpwl", "Exact HPWL of the most recently finished job.", formatFloat(c.LastHPWL.Value()))
-	gauge("placerd_last_overflow", "Final density overflow of the most recently finished job.", formatFloat(c.LastOverflow.Value()))
+	writeScalar(w, "counter", "placerd_gp_iterations_total", "Global placement iterations across all jobs.", c.Iterations.Value())
+	writeScalar(w, "gauge", "placerd_last_hpwl", "Exact HPWL of the most recently finished job.", formatFloat(c.LastHPWL.Value()))
+	writeScalar(w, "gauge", "placerd_last_overflow", "Final density overflow of the most recently finished job.", formatFloat(c.LastOverflow.Value()))
 
 	writeHistogram(w, "placerd_stage_seconds", "Per-stage wall-clock latency in seconds.", "stage", map[string]*Histogram{
 		"gp": c.GPSeconds, "lg": c.LGSeconds, "dp": c.DPSeconds,
@@ -235,6 +228,12 @@ func (c *Collector) WritePrometheus(w io.Writer) {
 		"": c.IterationSeconds,
 	})
 	writeHistogram(w, "placerd_gp_phase_seconds", "Per-iteration engine phase latency in seconds.", "phase", c.PhaseSeconds)
+}
+
+// writeScalar renders one unlabeled counter or gauge family (kind is the
+// Prometheus type); v is an integer or an already formatted value.
+func writeScalar(w io.Writer, kind, name, help string, v any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, kind, name, v)
 }
 
 // writeHistogram renders one histogram family; map keys become a
