@@ -29,15 +29,16 @@ test:
 # cancel-vs-checkpoint race test, the service suite includes the
 # kill-and-recover, panic-isolation, and cache-hit tests, the fleet suite
 # includes the journal crash-recovery and cancel-vs-dispatch race tests, the
-# durable suite races writers on one path, and the ecocache/netlist suites
-# cover the concurrent cache and content hashing the ECO fast path keys on.
+# durable suite races writers on one path, the ecocache/netlist suites
+# cover the concurrent cache and content hashing the ECO fast path keys on,
+# and the placertop suite tails live trajectories through a coordinator.
 race:
 	$(GO) test -race ./internal/service/... ./internal/placer/... \
 		./internal/checkpoint/... ./internal/durable/... ./internal/density/... \
 		./internal/wirelength/... \
 		./internal/obs/... ./internal/guard/... ./internal/faultinject/... \
 		./internal/fleet/... ./internal/chaos/... ./internal/ecocache/... \
-		./internal/netlist/... ./internal/trajclient/... ./internal/placertop/...
+		./internal/netlist/... ./internal/placertop/...
 
 # fuzz-seeds replays the fuzz seed corpora as regular tests (regression
 # mode, no exploration) so `make check` keeps the known-hostile Bookshelf

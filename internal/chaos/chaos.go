@@ -184,7 +184,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // injectedError is the transport error fabricated for drops and blackholes.
 // It wraps faultinject.ErrInjected (drops) or the context error (blackholes)
-// so callers can classify it; fleet.Retryable treats both drops (unknown
+// so callers can classify it; retry.Retryable treats both drops (unknown
 // transport error) and 500s as retryable, and a blackhole surfaces as the
 // caller's own deadline.
 type injectedError struct {

@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/retry"
 )
 
 // snapshot file names sort by iteration: ckpt-000000123.ckpt.
@@ -39,14 +39,6 @@ var OnWriteRetry func(path string, attempt int, err error)
 // sleepFn is the retry backoff sleep, stubbed out in tests.
 var sleepFn = time.Sleep
 
-// retryBackoff returns the jittered delay before retrying attempt
-// (1-based): 2ms·2^(attempt-1) plus up to 1ms of jitter, so concurrent
-// writers against the same flaky volume don't retry in lockstep.
-func retryBackoff(attempt int) time.Duration {
-	base := 2 * time.Millisecond << (attempt - 1)
-	return base + time.Duration(rand.Int63n(int64(time.Millisecond)))
-}
-
 // FileName returns the canonical snapshot file name for an iteration.
 func FileName(iter int) string {
 	return fmt.Sprintf("%s%09d%s", filePrefix, iter, fileSuffix)
@@ -54,14 +46,15 @@ func FileName(iter int) string {
 
 // WriteFile atomically writes the snapshot to path, retrying transient
 // failures with jittered exponential backoff (writeAttempts attempts
-// total) so a momentary I/O error degrades to an OnWriteRetry
-// notification instead of a lost snapshot. Each attempt is one fsynced
-// durable.WriteFile, so a crash at any point leaves either the old file or
-// the new one — never a torn write.
+// total; 2ms·2^n ±25%, so concurrent writers against the same flaky volume
+// don't retry in lockstep) so a momentary I/O error degrades to an
+// OnWriteRetry notification instead of a lost snapshot. Each attempt is one
+// fsynced durable.WriteFile, so a crash at any point leaves either the old
+// file or the new one — never a torn write.
 func WriteFile(path string, s *Snapshot) error {
-	var err error
+	var backoff *retry.Backoff
 	for attempt := 1; ; attempt++ {
-		err = writeFileOnce(path, s)
+		err := writeFileOnce(path, s)
 		if err == nil {
 			return nil
 		}
@@ -71,7 +64,10 @@ func WriteFile(path string, s *Snapshot) error {
 		if f := OnWriteRetry; f != nil {
 			f(path, attempt, err)
 		}
-		sleepFn(retryBackoff(attempt))
+		if backoff == nil {
+			backoff = retry.NewBackoff(2*time.Millisecond, 0, time.Now().UnixNano())
+		}
+		sleepFn(backoff.Next())
 	}
 }
 

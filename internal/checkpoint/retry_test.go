@@ -53,14 +53,14 @@ func TestWriteFileRetriesTransientErrors(t *testing.T) {
 	if len(*slept) != 2 {
 		t.Errorf("slept %d times, want 2", len(*slept))
 	}
-	// Backoff grows and carries jitter: attempt 1 in [2ms, 3ms), attempt 2
-	// in [4ms, 5ms).
+	// Backoff grows and carries ±25% jitter: attempt 1 in [1.5ms, 2.5ms],
+	// attempt 2 in [3ms, 5ms].
 	if s := *slept; len(s) == 2 {
-		if s[0] < 2*time.Millisecond || s[0] >= 3*time.Millisecond {
-			t.Errorf("first backoff = %v, want in [2ms, 3ms)", s[0])
+		if s[0] < 1500*time.Microsecond || s[0] > 2500*time.Microsecond {
+			t.Errorf("first backoff = %v, want in [1.5ms, 2.5ms]", s[0])
 		}
-		if s[1] < 4*time.Millisecond || s[1] >= 5*time.Millisecond {
-			t.Errorf("second backoff = %v, want in [4ms, 5ms)", s[1])
+		if s[1] < 3*time.Millisecond || s[1] > 5*time.Millisecond {
+			t.Errorf("second backoff = %v, want in [3ms, 5ms]", s[1])
 		}
 	}
 	if _, err := ReadFile(path); err != nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/retry"
 	"repro/internal/service"
 )
 
@@ -61,7 +62,7 @@ func (a *Agent) Run(ctx context.Context) {
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
-	backoff := NewBackoff(interval, 16*interval, rand.Int63())
+	backoff := retry.NewBackoff(interval, 16*interval, rand.Int63())
 	timer := time.NewTimer(interval)
 	defer timer.Stop()
 	for {
@@ -108,7 +109,7 @@ func (a *Agent) Deregister(ctx context.Context) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
-		return fmt.Errorf("fleet: deregister: %w", &StatusError{Code: resp.StatusCode})
+		return fmt.Errorf("fleet: deregister: %w", &retry.StatusError{Code: resp.StatusCode})
 	}
 	a.Log.Info("deregistered from coordinator", "coordinator", a.Coordinator, "id", a.ID)
 	return nil

@@ -34,12 +34,6 @@ type breakerEntry struct {
 }
 
 func newBreakerSet(threshold int, reset time.Duration, now func() time.Time) *breakerSet {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if reset <= 0 {
-		reset = 30 * time.Second
-	}
 	return &breakerSet{
 		threshold: threshold,
 		reset:     reset,

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/retry"
 	"repro/internal/service"
 )
 
@@ -67,7 +68,7 @@ func (c *Client) poll() time.Duration {
 }
 
 // Submit sends one job spec. A 429 returns *RetryAfterError so callers can
-// implement their own pacing; SubmitWait retries internally instead.
+// implement their own pacing; SubmitRetry retries internally instead.
 func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (fleet.JobView, error) {
 	return c.SubmitIdem(ctx, spec, "")
 }
@@ -76,7 +77,7 @@ func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (fleet.JobVie
 // key with the accepted job, so a retried submit (same key) returns the
 // existing job instead of duplicating it — across coordinator restarts too.
 // An empty key degrades to a plain Submit. Non-429 HTTP failures wrap
-// *fleet.StatusError so fleet.Retryable can classify them.
+// *retry.StatusError so retry.Retryable can classify them.
 func (c *Client) SubmitIdem(ctx context.Context, spec service.JobSpec, idemKey string) (fleet.JobView, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -109,7 +110,7 @@ func (c *Client) SubmitIdem(ctx context.Context, spec service.JobSpec, idemKey s
 		return fleet.JobView{}, &RetryAfterError{After: after, Status: resp.StatusCode, Msg: msg}
 	default:
 		return fleet.JobView{}, fmt.Errorf("fleet submit: %w",
-			&fleet.StatusError{Code: resp.StatusCode, Msg: readError(resp.Body)})
+			&retry.StatusError{Code: resp.StatusCode, Msg: readError(resp.Body)})
 	}
 }
 
@@ -126,11 +127,7 @@ func (c *Client) SubmitRetry(ctx context.Context, spec service.JobSpec, idemKey 
 	if budget <= 0 {
 		budget = 4
 	}
-	base := c.Backoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	backoff := fleet.NewBackoff(base, 0, time.Now().UnixNano())
+	backoff := retry.NewBackoff(c.Backoff, 0, time.Now().UnixNano())
 	for {
 		v, err = c.SubmitIdem(ctx, spec, idemKey)
 		if err == nil {
@@ -143,7 +140,7 @@ func (c *Client) SubmitRetry(ctx context.Context, spec service.JobSpec, idemKey 
 			if serr := sleepCtx(ctx, ra.After); serr != nil {
 				return fleet.JobView{}, rejected, retries, serr
 			}
-		case fleet.RetryableCtx(ctx, err) && retries < budget:
+		case retry.Retryable(ctx, err) && retries < budget:
 			retries++
 			if serr := sleepCtx(ctx, backoff.Next()); serr != nil {
 				return fleet.JobView{}, rejected, retries, serr
@@ -166,26 +163,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// SubmitWait submits with backpressure compliance: on 429 it sleeps the
-// advertised Retry-After (bounded by ctx) and retries until accepted.
-func (c *Client) SubmitWait(ctx context.Context, spec service.JobSpec) (fleet.JobView, error) {
-	for {
-		v, err := c.Submit(ctx, spec)
-		if err == nil {
-			return v, nil
-		}
-		var ra *RetryAfterError
-		if !errors.As(err, &ra) {
-			return fleet.JobView{}, err
-		}
-		select {
-		case <-ctx.Done():
-			return fleet.JobView{}, ctx.Err()
-		case <-time.After(ra.After):
-		}
-	}
-}
-
 // Get fetches one job's fleet view.
 func (c *Client) Get(ctx context.Context, id string) (fleet.JobView, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/jobs/"+id, nil)
@@ -199,7 +176,7 @@ func (c *Client) Get(ctx context.Context, id string) (fleet.JobView, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return fleet.JobView{}, fmt.Errorf("fleet get %s: %w", id,
-			&fleet.StatusError{Code: resp.StatusCode, Msg: readError(resp.Body)})
+			&retry.StatusError{Code: resp.StatusCode, Msg: readError(resp.Body)})
 	}
 	var v fleet.JobView
 	err = json.NewDecoder(resp.Body).Decode(&v)
@@ -216,7 +193,7 @@ func (c *Client) WaitTerminal(ctx context.Context, id string) (fleet.JobView, er
 	defer t.Stop()
 	for {
 		v, err := c.Get(ctx, id)
-		if err != nil && !fleet.RetryableCtx(ctx, err) {
+		if err != nil && !retry.Retryable(ctx, err) {
 			return fleet.JobView{}, err
 		}
 		if err == nil && service.State(v.State).Terminal() {

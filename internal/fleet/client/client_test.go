@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/fleet"
+	"repro/internal/retry"
 	"repro/internal/service"
 )
 
@@ -83,16 +84,20 @@ func TestSubmitWaitHonorsBackpressure(t *testing.T) {
 	c := &Client{Base: srv.URL, Tenant: "ci", Poll: time.Millisecond}
 
 	start := time.Now()
-	v, err := c.SubmitWait(context.Background(), testSpec())
+	v, rejected, retries, err := c.SubmitRetry(context.Background(), testSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := submits.Load(); got != 3 {
 		t.Errorf("submit attempts = %d, want 3 (two 429s absorbed)", got)
 	}
+	// Pushback is pacing, not failure: it never spends the retry budget.
+	if rejected != 2 || retries != 0 {
+		t.Errorf("rejected = %d, retries = %d; want 2 and 0", rejected, retries)
+	}
 	// Two advertised 1-second waits must actually have been slept out.
 	if elapsed := time.Since(start); elapsed < 2*time.Second {
-		t.Errorf("SubmitWait returned after %s, want >= 2s of Retry-After pacing", elapsed)
+		t.Errorf("SubmitRetry returned after %s, want >= 2s of Retry-After pacing", elapsed)
 	}
 	final, err := c.WaitTerminal(context.Background(), v.ID)
 	if err != nil {
@@ -123,8 +128,8 @@ func TestSubmitWaitRespectsContext(t *testing.T) {
 	c := &Client{Base: srv.URL, Tenant: "ci"}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := c.SubmitWait(ctx, testSpec()); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("SubmitWait under a dead context = %v, want DeadlineExceeded", err)
+	if _, _, _, err := c.SubmitRetry(ctx, testSpec(), ""); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("SubmitRetry under a dead context = %v, want DeadlineExceeded", err)
 	}
 }
 
@@ -190,7 +195,7 @@ func TestSubmitRetryStopsOnPermanentError(t *testing.T) {
 	if err == nil || retries != 0 {
 		t.Fatalf("err = %v retries = %d, want immediate permanent failure", err, retries)
 	}
-	var se *fleet.StatusError
+	var se *retry.StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("error %v should wrap StatusError 400", err)
 	}

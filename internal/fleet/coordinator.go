@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/retry"
 	"repro/internal/service"
 	"repro/internal/service/telemetry"
 )
@@ -55,26 +56,25 @@ type Config struct {
 	// fsynced) and replayed at boot, so a coordinator restart loses no
 	// accepted job. Empty keeps the coordinator purely in-memory.
 	JournalPath string
-	// DispatchRetries is how many extra attempts a retryable dispatch error
-	// gets on the same worker before moving to the next candidate (default 1).
-	DispatchRetries int
-	// DispatchBackoff is the base delay of the jittered backoff between
-	// dispatch retries (default 50ms; tests shrink it).
-	DispatchBackoff time.Duration
-	// BreakerThreshold is how many consecutive failed calls trip a worker's
-	// circuit breaker to "suspect" (default 3).
-	BreakerThreshold int
-	// BreakerReset is how long a suspect worker stays suspect with no
-	// further failures before decaying back to live (default 30s).
-	BreakerReset time.Duration
-	// RecoveryGrace is how long after boot a journal-recovered assignment
-	// waits for its worker to re-heartbeat before being treated as dead and
-	// re-routed (default 2×HeartbeatTTL).
-	RecoveryGrace time.Duration
 	// Sleep is the dispatch-retry sleeper; nil uses time.Sleep (tests
 	// inject a no-op so retries don't slow the suite).
 	Sleep func(time.Duration)
 }
+
+const (
+	// dispatchRetries is how many extra attempts a retryable dispatch error
+	// gets on the same worker before moving to the next candidate.
+	dispatchRetries = 1
+	// dispatchBackoff is the base delay of the jittered backoff between
+	// dispatch retries.
+	dispatchBackoff = 50 * time.Millisecond
+	// breakerThreshold is how many consecutive failed calls trip a worker's
+	// circuit breaker to "suspect".
+	breakerThreshold = 3
+	// breakerReset is how long a suspect worker stays suspect with no
+	// further failures before decaying back to live.
+	breakerReset = 30 * time.Second
+)
 
 // fleetJob is the coordinator's record of one submitted job. All mutable
 // fields are guarded by the coordinator's mu; assignment transitions happen
@@ -182,15 +182,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 10 * time.Second}
 	}
-	if cfg.DispatchRetries <= 0 {
-		cfg.DispatchRetries = 1
-	}
-	if cfg.DispatchBackoff <= 0 {
-		cfg.DispatchBackoff = 50 * time.Millisecond
-	}
-	if cfg.RecoveryGrace <= 0 {
-		cfg.RecoveryGrace = 2 * cfg.HeartbeatTTL
-	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
@@ -205,7 +196,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		stream:   &http.Client{},
 		now:      cfg.Now,
 		sleep:    cfg.Sleep,
-		brk:      newBreakerSet(cfg.BreakerThreshold, cfg.BreakerReset, cfg.Now),
+		brk:      newBreakerSet(breakerThreshold, breakerReset, cfg.Now),
 		bootedAt: cfg.Now(),
 		jobs:     make(map[string]*fleetJob),
 		idem:     make(map[string]string),
@@ -461,9 +452,10 @@ func (c *Coordinator) Tick(now time.Time) {
 
 // reconcileRecovered settles journal-recovered assignments: a worker that
 // re-heartbeated re-adopts its jobs (syncWorkers folds the live state), and
-// a worker still absent once the recovery grace lapses is treated as dead —
-// its jobs re-route with a resume pointer into the journaled durable store,
-// the same warm-start handoff as TTL expiry.
+// a worker still absent once the recovery grace (two heartbeat TTLs after
+// boot) lapses is treated as dead — its jobs re-route with a resume pointer
+// into the journaled durable store, the same warm-start handoff as TTL
+// expiry.
 func (c *Coordinator) reconcileRecovered(now time.Time) {
 	var orphans []*fleetJob
 	c.mu.Lock()
@@ -480,7 +472,7 @@ func (c *Coordinator) reconcileRecovered(now time.Time) {
 			c.log.Info("recovered job re-adopted", "job", j.id, "worker", j.worker)
 			continue
 		}
-		if now.Sub(c.bootedAt) < c.cfg.RecoveryGrace {
+		if now.Sub(c.bootedAt) < 2*c.cfg.HeartbeatTTL {
 			continue
 		}
 		if j.dataDir != "" && j.remoteID != "" {
@@ -1250,7 +1242,7 @@ func (c *Coordinator) stealTo(j *fleetJob, target Heartbeat) bool {
 // and circuit-breaker accounting on the outcome. busy=true flags a 429/503
 // (queue full or draining — try the next candidate, not a fault).
 func (c *Coordinator) postJob(hb Heartbeat, spec service.JobSpec) (service.JobView, bool, error) {
-	var backoff *Backoff
+	var backoff *retry.Backoff
 	for attempt := 0; ; attempt++ {
 		v, busy, err := c.postJobOnce(hb, spec)
 		if err == nil {
@@ -1264,11 +1256,11 @@ func (c *Coordinator) postJob(hb Heartbeat, spec service.JobSpec) (service.JobVi
 		if c.brk.Failure(hb.ID) && !wasSuspect {
 			c.log.Warn("worker circuit breaker opened", "worker", hb.ID, "err", err)
 		}
-		if attempt >= c.cfg.DispatchRetries || !Retryable(err) {
+		if attempt >= dispatchRetries || !retry.Retryable(context.Background(), err) {
 			return v, false, err
 		}
 		if backoff == nil {
-			backoff = NewBackoff(c.cfg.DispatchBackoff, 0, c.dseed.Add(1))
+			backoff = retry.NewBackoff(dispatchBackoff, 0, c.dseed.Add(1))
 		}
 		c.sleep(backoff.Next())
 	}
@@ -1298,7 +1290,7 @@ func (c *Coordinator) postJobOnce(hb Heartbeat, spec service.JobSpec) (service.J
 	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return service.JobView{}, false, fmt.Errorf("fleet: worker %s rejected job: %w",
-			hb.ID, &StatusError{Code: resp.StatusCode, Msg: string(msg)})
+			hb.ID, &retry.StatusError{Code: resp.StatusCode, Msg: string(msg)})
 	}
 }
 

@@ -38,28 +38,28 @@ func NewHandler(c *Coordinator) http.Handler {
 		var hb Heartbeat
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 		if err := dec.Decode(&hb); err != nil {
-			httpError(w, http.StatusBadRequest, "bad heartbeat: "+err.Error())
+			service.WriteError(w, http.StatusBadRequest, "bad heartbeat: "+err.Error())
 			return
 		}
 		if err := c.RecordHeartbeat(hb, c.now()); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			service.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		httpJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("DELETE /v1/workers/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if !c.DeregisterWorker(r.PathValue("id")) {
-			httpError(w, http.StatusNotFound, "fleet: unknown worker")
+			service.WriteError(w, http.StatusNotFound, "fleet: unknown worker")
 			return
 		}
-		httpJSON(w, http.StatusOK, map[string]string{"status": "deregistered"})
+		service.WriteJSON(w, http.StatusOK, map[string]string{"status": "deregistered"})
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec service.JobSpec
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
+			service.WriteError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 			return
 		}
 		v, after, err := c.SubmitIdem(spec, r.Header.Get("X-Tenant"), r.Header.Get("X-Idempotency-Key"))
@@ -72,59 +72,59 @@ func NewHandler(c *Coordinator) http.Handler {
 					secs = 1
 				}
 				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				httpError(w, status, err.Error())
+				service.WriteError(w, status, err.Error())
 				return
 			}
 			if errors.Is(err, service.ErrSpecRejected) {
-				httpError(w, http.StatusBadRequest, err.Error())
+				service.WriteError(w, http.StatusBadRequest, err.Error())
 				return
 			}
-			httpError(w, http.StatusInternalServerError, err.Error())
+			service.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		httpJSON(w, http.StatusAccepted, v)
+		service.WriteJSON(w, http.StatusAccepted, v)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		httpJSON(w, http.StatusOK, map[string]any{"jobs": c.List()})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"jobs": c.List()})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		v, err := c.Get(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err.Error())
+			service.WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
-		httpJSON(w, http.StatusOK, v)
+		service.WriteJSON(w, http.StatusOK, v)
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		v, err := c.Cancel(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err.Error())
+			service.WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
-		httpJSON(w, http.StatusOK, v)
+		service.WriteJSON(w, http.StatusOK, v)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/trajectory", func(w http.ResponseWriter, r *http.Request) {
 		c.proxyTrajectory(w, r)
 	})
 	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		httpJSON(w, http.StatusOK, c.Status())
+		service.WriteJSON(w, http.StatusOK, c.Status())
 	})
 	mux.HandleFunc("GET /v1/fleet/overview", func(w http.ResponseWriter, r *http.Request) {
-		httpJSON(w, http.StatusOK, c.Overview())
+		service.WriteJSON(w, http.StatusOK, c.Overview())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		c.tel.WritePrometheus(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		httpJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if !c.Ready() {
-			httpError(w, http.StatusServiceUnavailable, "no live workers")
+			service.WriteError(w, http.StatusServiceUnavailable, "no live workers")
 			return
 		}
-		httpJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
 	return mux
 }
@@ -153,11 +153,11 @@ func (c *Coordinator) proxyTrajectory(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if !ok {
-		httpError(w, http.StatusNotFound, ErrUnknownJob.Error())
+		service.WriteError(w, http.StatusNotFound, ErrUnknownJob.Error())
 		return
 	}
 	if url == "" {
-		httpError(w, http.StatusConflict, "job has no worker yet (pending)")
+		service.WriteError(w, http.StatusConflict, "job has no worker yet (pending)")
 		return
 	}
 	target := url + "/v1/jobs/" + remote + "/trajectory"
@@ -166,13 +166,13 @@ func (c *Coordinator) proxyTrajectory(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target, nil)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		service.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	resp, err := c.stream.Do(req)
 	if err != nil {
 		c.tel.ProxyErrors.Inc()
-		httpError(w, http.StatusBadGateway, "worker unreachable: "+err.Error())
+		service.WriteError(w, http.StatusBadGateway, "worker unreachable: "+err.Error())
 		return
 	}
 	defer resp.Body.Close()
@@ -199,16 +199,4 @@ func (c *Coordinator) proxyTrajectory(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-func httpJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	httpJSON(w, status, map[string]string{"error": msg})
 }

@@ -126,8 +126,7 @@ func newTestCoordinator(t *testing.T, clock *fakeClock, adm *Admission) *Coordin
 		Now:          clock.Now,
 		// Dead-worker dispatch attempts should fail fast in tests, not
 		// sleep through retry backoff.
-		DispatchBackoff: time.Millisecond,
-		Sleep:           func(time.Duration) {},
+		Sleep: func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,8 @@ import (
 	"net/url"
 	"testing"
 	"time"
+
+	"repro/internal/retry"
 )
 
 func TestRetryableClassification(t *testing.T) {
@@ -21,23 +23,23 @@ func TestRetryableClassification(t *testing.T) {
 		// Without a caller context, a deadline error is indistinguishable
 		// from http.Client's per-request timeout (which matches
 		// errors.Is(err, context.DeadlineExceeded) since Go 1.16): a slow
-		// peer, retryable. RetryableCtx covers the caller-gave-up case.
+		// peer, retryable. TestRetryableCtx covers the caller-gave-up case.
 		{"deadline", context.DeadlineExceeded, true},
 		{"client timeout", &url.Error{Op: "Post", Err: fmt.Errorf("net/http: request canceled (%w)", context.DeadlineExceeded)}, true},
 		{"wrapped cancel", fmt.Errorf("submit: %w", context.Canceled), false},
-		{"status 500", &StatusError{Code: 500}, true},
-		{"status 503", &StatusError{Code: 503}, true},
-		{"status 429", &StatusError{Code: 429}, true},
-		{"status 408", &StatusError{Code: 408}, true},
-		{"status 404", &StatusError{Code: 404}, false},
-		{"status 400", &StatusError{Code: 400}, false},
-		{"wrapped status 404", fmt.Errorf("get: %w", &StatusError{Code: 404}), false},
+		{"status 500", &retry.StatusError{Code: 500}, true},
+		{"status 503", &retry.StatusError{Code: 503}, true},
+		{"status 429", &retry.StatusError{Code: 429}, true},
+		{"status 408", &retry.StatusError{Code: 408}, true},
+		{"status 404", &retry.StatusError{Code: 404}, false},
+		{"status 400", &retry.StatusError{Code: 400}, false},
+		{"wrapped status 404", fmt.Errorf("get: %w", &retry.StatusError{Code: 404}), false},
 		{"net op error", &net.OpError{Op: "dial", Err: errors.New("refused")}, true},
-		{"url error around permanent", &url.Error{Op: "Post", Err: &StatusError{Code: 400}}, false},
+		{"url error around permanent", &url.Error{Op: "Post", Err: &retry.StatusError{Code: 400}}, false},
 		{"unknown error", errors.New("mystery"), true},
 	}
 	for _, tc := range cases {
-		if got := Retryable(tc.err); got != tc.want {
+		if got := retry.Retryable(context.Background(), tc.err); got != tc.want {
 			t.Errorf("Retryable(%s) = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -48,27 +50,27 @@ func TestRetryableClassification(t *testing.T) {
 // (retry), the same error once the ctx is done means the caller gave up.
 func TestRetryableCtx(t *testing.T) {
 	timeout := &url.Error{Op: "Post", Err: fmt.Errorf("net/http: request canceled (%w)", context.DeadlineExceeded)}
-	if !RetryableCtx(context.Background(), timeout) {
+	if !retry.Retryable(context.Background(), timeout) {
 		t.Error("client timeout with live ctx must be retryable")
 	}
 	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	if RetryableCtx(expired, timeout) {
+	if retry.Retryable(expired, timeout) {
 		t.Error("timeout with the caller's deadline already expired must not be retryable")
 	}
 	cancelled, stop := context.WithCancel(context.Background())
 	stop()
-	if RetryableCtx(cancelled, &StatusError{Code: 500}) {
+	if retry.Retryable(cancelled, &retry.StatusError{Code: 500}) {
 		t.Error("once the caller cancelled, even a retryable status is not worth retrying")
 	}
-	if !RetryableCtx(context.Background(), &StatusError{Code: 500}) {
+	if !retry.Retryable(context.Background(), &retry.StatusError{Code: 500}) {
 		t.Error("status 500 with live ctx must stay retryable")
 	}
 }
 
 func TestBackoffBoundsAndReset(t *testing.T) {
 	base := 100 * time.Millisecond
-	b := NewBackoff(base, time.Second, 7)
+	b := retry.NewBackoff(base, time.Second, 7)
 	prevMax := time.Duration(0)
 	for i := 0; i < 8; i++ {
 		d := b.Next()
@@ -91,8 +93,8 @@ func TestBackoffBoundsAndReset(t *testing.T) {
 }
 
 func TestBackoffDeterministicPerSeed(t *testing.T) {
-	a := NewBackoff(50*time.Millisecond, 0, 42)
-	b := NewBackoff(50*time.Millisecond, 0, 42)
+	a := retry.NewBackoff(50*time.Millisecond, 0, 42)
+	b := retry.NewBackoff(50*time.Millisecond, 0, 42)
 	for i := 0; i < 6; i++ {
 		if da, db := a.Next(), b.Next(); da != db {
 			t.Fatalf("same seed diverged at attempt %d: %s vs %s", i, da, db)

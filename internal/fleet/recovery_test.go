@@ -22,11 +22,10 @@ import (
 func newJournalCoordinator(t *testing.T, clock *fakeClock, path string) *Coordinator {
 	t.Helper()
 	c, err := NewCoordinator(Config{
-		HeartbeatTTL:    time.Second,
-		JournalPath:     path,
-		Now:             clock.Now,
-		DispatchBackoff: time.Millisecond,
-		Sleep:           func(time.Duration) {},
+		HeartbeatTTL: time.Second,
+		JournalPath:  path,
+		Now:          clock.Now,
+		Sleep:        func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)

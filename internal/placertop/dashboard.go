@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/trajclient"
+	"repro/internal/service"
 )
 
 // WorkerRow is one worker's line in the dashboard: liveness and heartbeat
@@ -51,7 +51,7 @@ type JobRow struct {
 	Reroutes   int
 	Steals     int
 	// Points is the job's recent trajectory tail (oldest first).
-	Points []trajclient.Point
+	Points []service.JobTrajectoryPoint
 }
 
 // CacheStats aggregates the fleet-wide placement-cache traffic.

@@ -9,12 +9,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/trajclient"
+	"repro/internal/service"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden frame files")
 
-func mustLoadFixture(t *testing.T) []trajclient.Point {
+func mustLoadFixture(t *testing.T) []service.JobTrajectoryPoint {
 	t.Helper()
 	pts, err := LoadTrajectory(filepath.Join("testdata", "replay.ndjson"))
 	if err != nil {

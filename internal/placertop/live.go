@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/service"
-	"repro/internal/trajclient"
 )
 
 // Collector polls a fleet coordinator (preferred) or a single placerd
@@ -20,7 +22,8 @@ import (
 type Collector struct {
 	// Base is the coordinator or worker base URL.
 	Base string
-	// HTTP serves the JSON polls. nil uses a short-timeout default.
+	// HTTP serves the polls and trajectory fetches. nil uses a
+	// short-timeout default.
 	HTTP *http.Client
 	// MaxTrajJobs bounds how many active jobs get trajectory tails per poll
 	// (default 8) — the sparkline column, not the job table, is capped.
@@ -29,10 +32,9 @@ type Collector struct {
 	// sparkline at any terminal width).
 	TailLen int
 
-	traj     *trajclient.Client
 	mode     string // "", "fleet", or "worker"
 	seq      int
-	tails    map[string][]trajclient.Point
+	tails    map[string][]service.JobTrajectoryPoint
 	lastIter map[string]int
 
 	prevGuard map[string]int
@@ -57,14 +59,11 @@ func (c *Collector) http_() *http.Client {
 
 func (c *Collector) init() {
 	if c.tails == nil {
-		c.tails = make(map[string][]trajclient.Point)
+		c.tails = make(map[string][]service.JobTrajectoryPoint)
 		c.lastIter = make(map[string]int)
 		c.prevGuard = make(map[string]int)
 		c.prevMove = make(map[string]int)
 		c.prevLive = make(map[string]bool)
-	}
-	if c.traj == nil {
-		c.traj = &trajclient.Client{Base: c.Base, HTTP: c.http_(), MaxAttempts: 1}
 	}
 	if c.MaxTrajJobs == 0 {
 		c.MaxTrajJobs = 8
@@ -126,20 +125,56 @@ func (c *Collector) detect(ctx context.Context) error {
 	return nil
 }
 
-func (c *Collector) getJSON(ctx context.Context, path string, v any) error {
+// get sends GET path and returns the body of a 200 response; the caller
+// closes it.
+func (c *Collector) get(ctx context.Context, path string) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := c.http_().Do(req)
 	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		return nil, fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
+	}
+	return resp.Body, nil
+}
+
+func (c *Collector) getJSON(ctx context.Context, path string, v any) error {
+	body, err := c.get(ctx, path)
+	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
+	defer body.Close()
+	return json.NewDecoder(body).Decode(v)
+}
+
+// fetchTrajectory returns a job's buffered points with Iter > after in one
+// request: ?follow=false makes the worker (or the coordinator's proxy) send
+// its current buffer and end the response.
+func (c *Collector) fetchTrajectory(ctx context.Context, id string, after int) ([]service.JobTrajectoryPoint, error) {
+	body, err := c.get(ctx, "/v1/jobs/"+url.PathEscape(id)+"/trajectory?after="+strconv.Itoa(after)+"&follow=false")
+	if err != nil {
+		return nil, err
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	defer body.Close()
+	pts, err := DecodeTrajectory(body)
+	if err != nil {
+		return nil, err
+	}
+	// The server filters by ?after already. Keeping only points that ascend
+	// past after means a resent point never enters the tail twice.
+	fresh := pts[:0]
+	for _, p := range pts {
+		if p.Iter > after {
+			fresh = append(fresh, p)
+			after = p.Iter
+		}
+	}
+	return fresh, nil
 }
 
 // pollFleet folds one coordinator overview document into a Snapshot.
@@ -244,7 +279,7 @@ func (c *Collector) fetchTails(ctx context.Context, s *Snapshot) {
 		}
 		fetched++
 		after := c.lastIter[j.ID] - 1 // lastIter is 0 before the first point
-		pts, err := c.traj.Fetch(ctx, j.ID, after)
+		pts, err := c.fetchTrajectory(ctx, j.ID, after)
 		if err != nil || len(pts) == 0 {
 			continue // pending job, pruned job, or transient proxy failure
 		}

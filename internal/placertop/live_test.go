@@ -2,8 +2,13 @@ package placertop
 
 import (
 	"context"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,5 +185,69 @@ func TestCollectorAgainstSingleWorker(t *testing.T) {
 	out := Render(snap, 80, 24).Plain()
 	if !strings.Contains(out, "local") || !strings.Contains(out, v.ID) {
 		t.Errorf("frame missing worker/job:\n%s", out)
+	}
+}
+
+// TestFetch: each poll tops a job's tail up with one ?after=N&follow=false
+// request, a resent point the tail already holds is not added twice, and a
+// failed request (404: the job was pruned) leaves the tail as it was.
+func TestFetch(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		queries []string
+		gone    atomic.Bool
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if gone.Load() || r.URL.Path != "/v1/jobs/job-1/trajectory" {
+			http.NotFound(w, r)
+			return
+		}
+		mu.Lock()
+		queries = append(queries, r.URL.RawQuery)
+		mu.Unlock()
+		after, err := strconv.Atoi(r.URL.Query().Get("after"))
+		if err != nil {
+			t.Errorf("bad after in %q: %v", r.URL.RawQuery, err)
+		}
+		// Resend the point at after itself, then three new ones.
+		for i := max(after, 0); i < after+4; i++ {
+			fmt.Fprintf(w, `{"iter":%d,"overflow":0.5,"hpwl":%d}`+"\n", i, 1000-i)
+		}
+	}))
+	defer srv.Close()
+
+	c := NewCollector(srv.URL)
+	c.init()
+	poll := func() []service.JobTrajectoryPoint {
+		s := &Snapshot{Jobs: []JobRow{{ID: "job-1", State: "running"}}}
+		c.fetchTails(context.Background(), s)
+		return s.Jobs[0].Points
+	}
+	iters := func(pts []service.JobTrajectoryPoint) []int {
+		var out []int
+		for _, p := range pts {
+			out = append(out, p.Iter)
+		}
+		return out
+	}
+
+	if got := iters(poll()); fmt.Sprint(got) != "[0 1 2]" {
+		t.Fatalf("first poll tail = %v, want [0 1 2]", got)
+	}
+	if got := iters(poll()); fmt.Sprint(got) != "[0 1 2 3 4 5]" {
+		t.Fatalf("second poll tail = %v, want [0 1 2 3 4 5] (resent 2 dropped)", got)
+	}
+	mu.Lock()
+	if got := fmt.Sprint(queries); got != "[after=-1&follow=false after=2&follow=false]" {
+		t.Errorf("queries = %s, want after=-1 then after=2, both follow=false", got)
+	}
+	mu.Unlock()
+
+	gone.Store(true)
+	if got := iters(poll()); fmt.Sprint(got) != "[0 1 2 3 4 5]" {
+		t.Fatalf("tail after a 404 = %v, want it unchanged", got)
+	}
+	if c.lastIter["job-1"] != 6 {
+		t.Errorf("lastIter after a 404 = %d, want 6", c.lastIter["job-1"])
 	}
 }

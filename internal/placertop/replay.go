@@ -7,7 +7,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/trajclient"
+	"repro/internal/service"
 )
 
 // ReplayState is the trajectory-replay view: a recorded NDJSON trajectory
@@ -17,7 +17,7 @@ import (
 // paper's Fig. 3 convergence curves frame by frame.
 type ReplayState struct {
 	File   string
-	Points []trajclient.Point
+	Points []service.JobTrajectoryPoint
 	// Pos is the number of points visible (clamped to [0, len(Points)]).
 	Pos int
 	// Speed is points advanced per tick; Paused freezes the playhead.
@@ -28,7 +28,7 @@ type ReplayState struct {
 // LoadTrajectory reads an NDJSON trajectory recording: one JSON point per
 // line, blank lines skipped. Returns an error for an empty or undecodable
 // file so placertop fails loudly rather than rendering a blank replay.
-func LoadTrajectory(path string) ([]trajclient.Point, error) {
+func LoadTrajectory(path string) ([]service.JobTrajectoryPoint, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -42,16 +42,16 @@ func LoadTrajectory(path string) ([]trajclient.Point, error) {
 }
 
 // DecodeTrajectory decodes an NDJSON point stream from r.
-func DecodeTrajectory(r io.Reader) ([]trajclient.Point, error) {
+func DecodeTrajectory(r io.Reader) ([]service.JobTrajectoryPoint, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var pts []trajclient.Point
+	var pts []service.JobTrajectoryPoint
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var p trajclient.Point
+		var p service.JobTrajectoryPoint
 		if err := json.Unmarshal(line, &p); err != nil {
 			return nil, fmt.Errorf("line %d: %w", len(pts)+1, err)
 		}
@@ -81,7 +81,7 @@ func (rp *ReplayState) Advance(n int) {
 }
 
 // visible returns the played prefix of the recording.
-func (rp *ReplayState) visible() []trajclient.Point {
+func (rp *ReplayState) visible() []service.JobTrajectoryPoint {
 	return rp.Points[:clampInt(rp.Pos, 0, len(rp.Points))]
 }
 

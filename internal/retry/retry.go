@@ -1,4 +1,9 @@
-package fleet
+// Package retry is the one retry policy of the repository: the error
+// classifier that tells a transient failure from a permanent one, and the
+// jittered exponential backoff between attempts. The fleet agent's
+// heartbeat, the coordinator's dispatch, the tenant client and checkpoint
+// writes all use it. Stdlib only, so any package can import it.
+package retry
 
 import (
 	"context"
@@ -24,11 +29,11 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("http status %d: %s", e.Code, e.Msg)
 }
 
-// RetryableStatus reports whether an HTTP status code names a transient
+// retryableStatus reports whether an HTTP status code names a transient
 // condition worth retrying: timeouts, pushback, and server-side errors.
 // 4xx client errors (other than 408/429) are permanent — retrying a bad
 // request cannot fix the request.
-func RetryableStatus(code int) bool {
+func retryableStatus(code int) bool {
 	switch {
 	case code == 408 || code == 429:
 		return true
@@ -39,27 +44,20 @@ func RetryableStatus(code int) bool {
 	}
 }
 
-// Retryable classifies an error from a fleet HTTP call when no request
-// context is available. Transport-level failures — refused connections,
-// resets, and timeouts, including http.Client's per-request timeout (which
-// since Go 1.16 also matches errors.Is(err, context.DeadlineExceeded)) —
-// are retryable: the peer may be slow or mid-restart. Explicit cancellation
-// is not — the caller gave up. StatusError delegates to RetryableStatus.
-// Callers that hold the request context should prefer RetryableCtx, which
-// additionally tells the caller's own expired deadline from a wedged peer.
-func Retryable(err error) bool { return retryable(nil, err) }
-
-// RetryableCtx is Retryable informed by the caller's own context: once ctx
-// is done nothing is retryable (the deadline or cancel belongs to the
-// caller, not the peer), while a timeout with ctx still live is the
-// transport giving up on a slow peer — exactly what retries are for.
-func RetryableCtx(ctx context.Context, err error) bool { return retryable(ctx, err) }
-
-func retryable(ctx context.Context, err error) bool {
+// Retryable classifies an error from an HTTP call made under ctx. Once ctx
+// is done nothing is retryable: the deadline or cancel belongs to the
+// caller, not the peer. Explicit cancellation is not retryable either.
+// Transport-level failures — refused connections, resets, and timeouts,
+// including http.Client's per-request timeout (which since Go 1.16 also
+// matches errors.Is(err, context.DeadlineExceeded)) — are retryable while
+// ctx is live: the peer may be slow or mid-restart. StatusError is
+// retryable for 408, 429 and 5xx. A caller with no request context passes
+// context.Background().
+func Retryable(ctx context.Context, err error) bool {
 	if err == nil {
 		return false
 	}
-	if ctx != nil && ctx.Err() != nil {
+	if ctx.Err() != nil {
 		return false
 	}
 	if errors.Is(err, context.Canceled) {
@@ -67,7 +65,7 @@ func retryable(ctx context.Context, err error) bool {
 	}
 	var se *StatusError
 	if errors.As(err, &se) {
-		return RetryableStatus(se.Code)
+		return retryableStatus(se.Code)
 	}
 	// Everything else out of the transport — per-request timeouts, refused
 	// connections, resets, EOF mid-body, closed connections — is treated as

@@ -27,39 +27,39 @@ func NewHandler(m *Manager) http.Handler {
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
+			WriteError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 			return
 		}
 		v, err := m.Submit(spec)
 		if err != nil {
-			writeError(w, statusFor(err), err.Error())
+			WriteError(w, statusFor(err), err.Error())
 			return
 		}
-		writeJSON(w, http.StatusAccepted, v)
+		WriteJSON(w, http.StatusAccepted, v)
 	}
 	mux.HandleFunc("POST /jobs", submit)
 	// /v1/jobs is the stable alias ECO clients use; `parent` in the spec
 	// routes the job through the placement-result cache's near-hit path.
 	mux.HandleFunc("POST /v1/jobs", submit)
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"jobs": m.List()})
+		WriteJSON(w, http.StatusOK, map[string]any{"jobs": m.List()})
 	})
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		v, err := m.Get(r.PathValue("id"))
 		if err != nil {
-			writeError(w, statusFor(err), err.Error())
+			WriteError(w, statusFor(err), err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, v)
+		WriteJSON(w, http.StatusOK, v)
 	})
 	mux.HandleFunc("GET /jobs/{id}/trajectory", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		pts, err := m.Trajectory(id)
+		pts, _, err := m.TrajectoryAfter(id, -1)
 		if err != nil {
-			writeError(w, statusFor(err), err.Error())
+			WriteError(w, statusFor(err), err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"id": id, "trajectory": pts})
+		WriteJSON(w, http.StatusOK, map[string]any{"id": id, "trajectory": pts})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/trajectory", func(w http.ResponseWriter, r *http.Request) {
 		streamTrajectory(m, w, r)
@@ -78,20 +78,20 @@ func NewHandler(m *Manager) http.Handler {
 			v, err = m.Cancel(r.PathValue("id"))
 		}
 		if err != nil {
-			writeError(w, statusFor(err), err.Error())
+			WriteError(w, statusFor(err), err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, v)
+		WriteJSON(w, http.StatusOK, v)
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Stats())
+		WriteJSON(w, http.StatusOK, m.Stats())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		m.Telemetry().WritePrometheus(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
 }
@@ -114,7 +114,7 @@ func streamTrajectory(m *Manager, w http.ResponseWriter, r *http.Request) {
 	if s := r.URL.Query().Get("after"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad after parameter: "+err.Error())
+			WriteError(w, http.StatusBadRequest, "bad after parameter: "+err.Error())
 			return
 		}
 		after = v
@@ -123,7 +123,7 @@ func streamTrajectory(m *Manager, w http.ResponseWriter, r *http.Request) {
 
 	// Fail with a proper status before committing to the stream.
 	if _, _, err := m.TrajectoryAfter(id, after); err != nil {
-		writeError(w, statusFor(err), err.Error())
+		WriteError(w, statusFor(err), err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -174,7 +174,9 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the indented JSON body of a response with the
+// given status. The placerd and coordinator APIs both answer through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -182,6 +184,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+// WriteError writes the {"error": msg} body of a failed request.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, map[string]string{"error": msg})
 }

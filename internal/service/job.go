@@ -171,15 +171,6 @@ func (j *job) view() JobView {
 	return v
 }
 
-// trajectory returns a copy of the live trajectory buffer.
-func (j *job) trajectory() []trajPoint {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]trajPoint, len(j.traj))
-	copy(out, j.traj)
-	return out
-}
-
 // trajectoryAfter returns a copy of the buffered points with Iter strictly
 // greater than after, plus whether the job is terminal. Iter values are
 // ascending, so a binary search finds the resume position.

@@ -372,26 +372,6 @@ func (m *Manager) Get(id string) (JobView, error) {
 	return j.view(), nil
 }
 
-// Trajectory returns the live trajectory buffer of one job.
-func (m *Manager) Trajectory(id string) ([]JobTrajectoryPoint, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, ErrUnknownJob
-	}
-	pts := j.trajectory()
-	out := make([]JobTrajectoryPoint, len(pts))
-	for i, p := range pts {
-		out[i] = JobTrajectoryPoint{
-			Iter: p.Iter, Overflow: p.Overflow, HPWL: p.HPWL,
-			Objective: p.Objective, Param: p.Param, Lambda: p.Lambda,
-			GuardTrips: p.GuardTrips,
-		}
-	}
-	return out, nil
-}
-
 // TrajectoryAfter returns the job's trajectory points with Iter > after
 // (pass after = -1 for everything), plus whether the job has reached a
 // terminal state. The streaming trajectory endpoint polls this: filtering by

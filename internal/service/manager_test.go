@@ -93,7 +93,7 @@ func TestJobLifecycleDone(t *testing.T) {
 		t.Errorf("done job RunSeconds = %g, want > 0", done.RunSeconds)
 	}
 
-	pts, err := m.Trajectory(v.ID)
+	pts, _, err := m.TrajectoryAfter(v.ID, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestRaceLifecycle(t *testing.T) {
 				if i%2 == 0 && cur.State == StateRunning {
 					m.Cancel(v.ID) //nolint:errcheck // racing a finishing job is fine
 				}
-				m.Trajectory(v.ID) //nolint:errcheck
+				m.TrajectoryAfter(v.ID, -1) //nolint:errcheck
 				time.Sleep(2 * time.Millisecond)
 			}
 			t.Errorf("job %s never finished", v.ID)
