@@ -1,10 +1,9 @@
 package netlist
 
 import (
+	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 )
 
 // Delta classifies a resubmitted design (the child) against the design it
@@ -36,8 +35,9 @@ type Delta struct {
 	Touched []int
 }
 
-// cellKey identifies a cell across the two designs: by name when every cell
-// in both designs has a unique non-empty name (the normal case for generated
+// cellKeys maps each cell name of d to its index. It reports false unless
+// every cell has a unique non-empty name: Diff matches cells across two
+// designs by name when both have such names (the normal case for generated
 // and Bookshelf designs), by index otherwise.
 func cellKeys(d *Design) (map[string]int, bool) {
 	m := make(map[string]int, len(d.Cells))
@@ -63,6 +63,9 @@ func Diff(parent, child *Design) *Delta {
 	_, cok := cellKeys(child)
 	byName := pok && cok
 	parentMatched := make([]bool, len(parent.Cells))
+	// childKey keys the child's pins for the net compare: the parent index of
+	// a matched cell, or a negative key no parent net contains.
+	childKey := make([]int64, len(child.Cells))
 	for i, c := range child.Cells {
 		pi := -1
 		if byName {
@@ -73,7 +76,9 @@ func Diff(parent, child *Design) *Delta {
 			pi = i
 		}
 		dl.CellMap[i] = pi
+		childKey[i] = int64(pi)
 		if pi < 0 {
+			childKey[i] = -1 - int64(i)
 			dl.AddedCells = append(dl.AddedCells, i)
 			continue
 		}
@@ -91,19 +96,8 @@ func Diff(parent, child *Design) *Delta {
 		}
 	}
 
-	// parentOf maps a child cell index to the key used in net signatures:
-	// the parent index when matched, or a negative synthetic key for added
-	// cells (which can never appear in any parent net signature).
-	parentOf := func(ci int32) int {
-		if pi := dl.CellMap[ci]; pi >= 0 {
-			return pi
-		}
-		return -1 - int(ci)
-	}
-
-	// Net signatures: weight plus the (parent-keyed cell, dx, dy) pin
-	// multiset. Matched by name when possible, by index otherwise.
-	identity := func(ci int32) int { return int(ci) }
+	// Nets compare in canonical form, matched by name when possible, by
+	// index otherwise.
 	netByName := byName && uniqueNetNames(parent) && uniqueNetNames(child)
 	parentNetIdx := make(map[string]int, len(parent.Nets))
 	if netByName {
@@ -111,9 +105,9 @@ func Diff(parent, child *Design) *Delta {
 			parentNetIdx[parent.Nets[e].Name] = e
 		}
 	}
+	cf, pf := newNetForm(child), newNetForm(parent)
 	childMatchedParentNet := make([]bool, len(parent.Nets))
 	for e := range child.Nets {
-		sig := netSignature(child, e, parentOf)
 		pe := -1
 		if netByName {
 			if j, ok := parentNetIdx[child.Nets[e].Name]; ok {
@@ -127,7 +121,7 @@ func Diff(parent, child *Design) *Delta {
 			continue
 		}
 		childMatchedParentNet[pe] = true
-		if netSignature(parent, pe, identity) != sig {
+		if !bytes.Equal(cf.encode(child, e, childKey), pf.encode(parent, pe, nil)) {
 			dl.RewiredNets = append(dl.RewiredNets, e)
 		}
 	}
@@ -157,7 +151,7 @@ func (dl *Delta) computeTouched(parent, child *Design) []int {
 	}
 	// A moved or resized fixed cell (or a removed cell of any kind) changes
 	// the neighborhood of every movable cell wired to it.
-	disturbed := make(map[int]bool)
+	disturbed := make([]bool, len(child.Cells))
 	for _, i := range dl.ResizedCells {
 		if !child.Cells[i].Kind.Moves() {
 			disturbed[i] = true
@@ -489,35 +483,4 @@ func uniqueNetNames(d *Design) bool {
 		seen[n.Name] = true
 	}
 	return true
-}
-
-// netSignature renders net e's semantic content as a comparable string:
-// weight plus the sorted (mapped cell key, dx, dy) pin multiset. cellKey
-// translates pin cell indices into the comparison space (parent indices when
-// diffing child against parent).
-func netSignature(d *Design, e int, cellKey func(int32) int) string {
-	pins := d.NetPins(e)
-	type sigPin struct {
-		cell   int
-		dx, dy float64
-	}
-	sp := make([]sigPin, len(pins))
-	for i, p := range pins {
-		sp[i] = sigPin{cell: cellKey(p.Cell), dx: p.Dx, dy: p.Dy}
-	}
-	sort.Slice(sp, func(a, b int) bool {
-		if sp[a].cell != sp[b].cell {
-			return sp[a].cell < sp[b].cell
-		}
-		if sp[a].dx != sp[b].dx {
-			return sp[a].dx < sp[b].dx
-		}
-		return sp[a].dy < sp[b].dy
-	})
-	var sb []byte
-	sb = append(sb, fmt.Sprintf("w%x", math.Float64bits(d.Nets[e].Weight))...)
-	for _, p := range sp {
-		sb = append(sb, fmt.Sprintf("|%d:%x:%x", p.cell, math.Float64bits(p.dx), math.Float64bits(p.dy))...)
-	}
-	return string(sb)
 }

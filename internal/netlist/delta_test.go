@@ -1,6 +1,10 @@
 package netlist
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -375,6 +379,274 @@ func TestPerturbSmallFractionStaysSmall(t *testing.T) {
 	if f := dl.TouchedFraction(p); f == 0 || f > 0.05 {
 		t.Fatalf("TouchedFraction = %g, want (0, 0.05]", f)
 	}
+}
+
+// referenceNetSignature renders net e as the string Diff once compared:
+// weight plus the sorted (mapped cell key, dx, dy) pin multiset. cellKey
+// translates pin cell indices into the comparison space (parent indices when
+// diffing child against parent).
+func referenceNetSignature(d *Design, e int, cellKey func(int32) int) string {
+	pins := d.NetPins(e)
+	type sigPin struct {
+		cell   int
+		dx, dy float64
+	}
+	sp := make([]sigPin, len(pins))
+	for i, p := range pins {
+		sp[i] = sigPin{cell: cellKey(p.Cell), dx: p.Dx, dy: p.Dy}
+	}
+	sort.Slice(sp, func(a, b int) bool {
+		if sp[a].cell != sp[b].cell {
+			return sp[a].cell < sp[b].cell
+		}
+		if sp[a].dx != sp[b].dx {
+			return sp[a].dx < sp[b].dx
+		}
+		return sp[a].dy < sp[b].dy
+	})
+	var sb []byte
+	sb = append(sb, fmt.Sprintf("w%x", math.Float64bits(d.Nets[e].Weight))...)
+	for _, p := range sp {
+		sb = append(sb, fmt.Sprintf("|%d:%x:%x", p.cell, math.Float64bits(p.dx), math.Float64bits(p.dy))...)
+	}
+	return string(sb)
+}
+
+// referenceDiff recomputes the net half of a delta from string signatures,
+// given the cell half (CellMap, AddedCells, ResizedCells, MovedFixed) that
+// Diff produced, and derives Touched from its definition with maps.
+func referenceDiff(parent, child *Design, dl *Delta) (rewired, removed, touched []int) {
+	parentOf := func(ci int32) int {
+		if pi := dl.CellMap[ci]; pi >= 0 {
+			return pi
+		}
+		return -1 - int(ci)
+	}
+	identity := func(ci int32) int { return int(ci) }
+	_, pok := cellKeys(parent)
+	_, cok := cellKeys(child)
+	netByName := pok && cok && uniqueNetNames(parent) && uniqueNetNames(child)
+	parentNetIdx := map[string]int{}
+	for e := range parent.Nets {
+		parentNetIdx[parent.Nets[e].Name] = e
+	}
+	matched := map[int]bool{}
+	for e := range child.Nets {
+		pe := -1
+		if netByName {
+			if j, ok := parentNetIdx[child.Nets[e].Name]; ok {
+				pe = j
+			}
+		} else if e < len(parent.Nets) {
+			pe = e
+		}
+		if pe < 0 {
+			rewired = append(rewired, e)
+			continue
+		}
+		matched[pe] = true
+		if referenceNetSignature(parent, pe, identity) != referenceNetSignature(child, e, parentOf) {
+			rewired = append(rewired, e)
+		}
+	}
+	for pe := range parent.Nets {
+		if !matched[pe] {
+			removed = append(removed, pe)
+		}
+	}
+
+	mark := map[int]bool{}
+	markMovable := func(ci int) {
+		if child.Cells[ci].Kind.Moves() {
+			mark[ci] = true
+		}
+	}
+	disturbed := map[int]bool{}
+	for _, ci := range dl.AddedCells {
+		markMovable(ci)
+	}
+	for _, ci := range dl.ResizedCells {
+		markMovable(ci)
+		if !child.Cells[ci].Kind.Moves() {
+			disturbed[ci] = true
+		}
+	}
+	for _, ci := range dl.MovedFixed {
+		disturbed[ci] = true
+	}
+	for e := range child.Nets {
+		for _, p := range child.NetPins(e) {
+			if disturbed[int(p.Cell)] {
+				for _, q := range child.NetPins(e) {
+					markMovable(int(q.Cell))
+				}
+				break
+			}
+		}
+	}
+	for _, e := range rewired {
+		for _, p := range child.NetPins(e) {
+			markMovable(int(p.Cell))
+		}
+	}
+	for _, pe := range removed {
+		for _, p := range parent.NetPins(pe) {
+			for ci, pi := range dl.CellMap {
+				if pi == int(p.Cell) {
+					markMovable(ci)
+				}
+			}
+		}
+	}
+	for ci := range mark {
+		touched = append(touched, ci)
+	}
+	sort.Ints(touched)
+	return rewired, removed, touched
+}
+
+// ecoRandomDesign builds a random design for the reference comparison:
+// movable, fixed and terminal cells, nets of 2-6 pins plus a few of 13-40,
+// and pin offsets drawn from a small grid so several pins share a cell and
+// an offset. Cell names are unique or all empty; net names are unique,
+// duplicated, or all empty.
+func ecoRandomDesign(t testing.TB, rng *rand.Rand, namedCells bool, netNames string) *Design {
+	t.Helper()
+	b := NewBuilder("ref")
+	b.SetRegion(geom.Rect{XL: 0, YL: 0, XH: 50, YH: 50})
+	b.AddRow(Row{Y: 0, Height: 1, XL: 0, XH: 50, SiteW: 1})
+	nCells := 40 + rng.Intn(60)
+	for i := 0; i < nCells; i++ {
+		kind := Movable
+		switch rng.Intn(10) {
+		case 0:
+			kind = Fixed
+		case 1:
+			kind = Terminal
+		}
+		name := ""
+		if namedCells {
+			name = fmt.Sprintf("c%d", i)
+		}
+		b.AddCell(name, kind, float64(1+rng.Intn(4)), 1, rng.Float64()*40, rng.Float64()*40)
+	}
+	nNets := 30 + rng.Intn(50)
+	for e := 0; e < nNets; e++ {
+		name := ""
+		switch netNames {
+		case "unique":
+			name = fmt.Sprintf("n%d", e)
+		case "dup":
+			name = fmt.Sprintf("n%d", e%7)
+		}
+		w := 1.0
+		if rng.Intn(4) == 0 {
+			w = 0.5 + rng.Float64()
+		}
+		ne := b.AddNet(name, w)
+		deg := 2 + rng.Intn(5)
+		if rng.Intn(8) == 0 {
+			deg = 13 + rng.Intn(28)
+		}
+		for k := 0; k < deg; k++ {
+			b.AddPin(ne, rng.Intn(nCells), 0.25*float64(1+rng.Intn(4)), 0.25*float64(1+rng.Intn(4)))
+		}
+	}
+	return b.MustBuild()
+}
+
+// ecoEdit derives an edited copy of d beyond what Perturb produces: pins of
+// every net shuffled (no semantic change), one net dropped, one reweighed,
+// one pin moved on every large net, one cell removed, some fixed cells
+// moved, and one cell added on a new net.
+func ecoEdit(t testing.TB, rng *rand.Rand, d *Design) *Design {
+	t.Helper()
+	b := NewBuilder(d.Name)
+	b.SetRegion(d.Region)
+	for _, r := range d.Rows {
+		b.AddRow(r)
+	}
+	drop := rng.Intn(len(d.Cells))
+	idx := make([]int, len(d.Cells))
+	for i, c := range d.Cells {
+		if i == drop {
+			idx[i] = -1
+			continue
+		}
+		x := d.X[i]
+		if !c.Kind.Moves() && rng.Intn(4) == 0 {
+			x++
+		}
+		idx[i] = b.AddCell(c.Name, c.Kind, c.W, c.H, x, d.Y[i])
+	}
+	name := ""
+	if d.Cells[0].Name != "" {
+		name = "added"
+	}
+	added := b.AddCell(name, Movable, 2, 1, 0, 0)
+	skipNet, reweigh := rng.Intn(len(d.Nets)), rng.Intn(len(d.Nets))
+	for e := range d.Nets {
+		if e == skipNet {
+			continue
+		}
+		w := d.Nets[e].Weight
+		if e == reweigh {
+			w *= 2
+		}
+		ne := b.AddNet(d.Nets[e].Name, w)
+		pins := d.NetPins(e)
+		for _, k := range rng.Perm(len(pins)) {
+			p := pins[k]
+			if idx[p.Cell] < 0 {
+				continue
+			}
+			dx := p.Dx
+			if len(pins) > maxExpandDegree && k == 0 {
+				dx += 0.5
+			}
+			b.AddPin(ne, idx[p.Cell], dx, p.Dy)
+		}
+	}
+	ne := b.AddNet(d.Nets[0].Name+"x", 1)
+	b.AddPin(ne, added, 0.5, 0.5)
+	b.AddPin(ne, idx[(drop+1)%len(d.Cells)], 0.5, 0.5)
+	return b.MustBuild()
+}
+
+// TestDiffMatchesSignatureReference holds Diff's net comparison to the
+// string-signature reference above, in both directions, over named and
+// unnamed cells, unique, duplicated and empty net names, nets of up to 40
+// pins, Perturb children at several strengths, and structural edits.
+func TestDiffMatchesSignatureReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	checks := 0
+	for trial := 0; trial < 24; trial++ {
+		named := trial%2 == 0
+		netNames := []string{"unique", "dup", ""}[trial/2%3]
+		d := ecoRandomDesign(t, rng, named, netNames)
+		var children []*Design
+		for _, f := range []float64{0.01, 0.05, 0.5} {
+			c, err := Perturb(d, Perturbation{Seed: rng.Int63(), CellFrac: f, NetFrac: f})
+			if err != nil {
+				t.Fatal(err)
+			}
+			children = append(children, c)
+		}
+		children = append(children, ecoEdit(t, rng, d), ecoEdit(t, rng, children[1]))
+		for ci, c := range children {
+			for _, pair := range [][2]*Design{{d, c}, {c, d}} {
+				p, ch := pair[0], pair[1]
+				dl := Diff(p, ch)
+				rewired, removed, touched := referenceDiff(p, ch, dl)
+				if !slices.Equal(dl.RewiredNets, rewired) || !slices.Equal(dl.RemovedNets, removed) || !slices.Equal(dl.Touched, touched) {
+					t.Fatalf("trial %d child %d (named %v, nets %q): Diff disagrees with the reference:\n rewired %v\n    want %v\n removed %v\n    want %v\n touched %v\n    want %v",
+						trial, ci, named, netNames, dl.RewiredNets, rewired, dl.RemovedNets, removed, dl.Touched, touched)
+				}
+				checks++
+			}
+		}
+	}
+	t.Logf("%d diffs match the reference", checks)
 }
 
 // randomBigDesign builds a ~600-cell named design for fraction statistics.

@@ -2,13 +2,14 @@ package netlist
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Hash is the canonical SHA-256 content hash of a Design. Two designs with
@@ -51,7 +52,73 @@ func (w *hashWriter) u64(v uint64) {
 
 func (w *hashWriter) i64(v int64)   { w.u64(uint64(v)) }
 func (w *hashWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *hashWriter) byte(b byte)   { w.h.Write([]byte{b}) }
+func (w *hashWriter) byte(b byte)   { w.h.Write(append(w.buf[:0], b)) }
+
+// netForm writes a net in its one canonical binary form: the weight, the
+// degree, then the pins sorted by (cell key, dx, dy), each field 8 bytes
+// little-endian. ContentHash digests these bytes and Diff compares them, so
+// the two agree on when two nets are the same.
+type netForm struct {
+	pins []keyedPin
+	buf  []byte
+}
+
+// keyedPin is a pin with its cell index mapped to the key it sorts by.
+type keyedPin struct {
+	cell   int64
+	dx, dy float64
+}
+
+// newNetForm sizes the scratch for d's largest net, so encoding any net of d
+// allocates nothing.
+func newNetForm(d *Design) *netForm {
+	maxDeg := 0
+	for e := range d.Nets {
+		maxDeg = max(maxDeg, d.NetDegree(e))
+	}
+	return &netForm{pins: make([]keyedPin, 0, maxDeg), buf: make([]byte, 0, 8*(2+3*maxDeg))}
+}
+
+// encode returns net e of d in canonical form, valid until the next call.
+// key maps d's cell indices to pin keys; nil keys each pin by its own cell
+// index.
+func (f *netForm) encode(d *Design, e int, key []int64) []byte {
+	f.pins = f.pins[:0]
+	for _, p := range d.NetPins(e) {
+		k := int64(p.Cell)
+		if key != nil {
+			k = key[p.Cell]
+		}
+		f.pins = append(f.pins, keyedPin{cell: k, dx: p.Dx, dy: p.Dy})
+	}
+	slices.SortFunc(f.pins, comparePins)
+	b := binary.LittleEndian.AppendUint64(f.buf[:0], math.Float64bits(d.Nets[e].Weight))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(f.pins)))
+	for _, p := range f.pins {
+		b = binary.LittleEndian.AppendUint64(b, uint64(p.cell))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.dx))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.dy))
+	}
+	f.buf = b
+	return b
+}
+
+// comparePins orders pins by key, then by offsets as numbers, then by the
+// offsets' bits: +0 and -0 are equal numbers with different encodings, and
+// the bits keep their order from depending on declaration order.
+func comparePins(a, b keyedPin) int {
+	if a.cell != b.cell {
+		return cmp.Compare(a.cell, b.cell)
+	}
+	if a.dx != b.dx || a.dy != b.dy {
+		if a.dx < b.dx || a.dx == b.dx && a.dy < b.dy {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Or(cmp.Compare(math.Float64bits(a.dx), math.Float64bits(b.dx)),
+		cmp.Compare(math.Float64bits(a.dy), math.Float64bits(b.dy)))
+}
 
 // ContentHash returns the canonical content hash of the design.
 //
@@ -99,39 +166,15 @@ func (d *Design) ContentHash() Hash {
 		}
 	}
 
-	// Nets as an order-independent multiset of per-net digests: each net
-	// hashes its weight plus its pins sorted by (cell, dx, dy), then the
-	// sorted list of net digests feeds the top hash. Permuting net
+	// Nets as an order-independent multiset: each net's canonical form is
+	// digested, and the sorted digests feed the top hash. Permuting net
 	// declaration order or pin order within a net cannot change the result.
 	digests := make([][sha256.Size]byte, len(d.Nets))
-	var pinScratch []Pin
-	nw := &hashWriter{h: sha256.New()}
+	f := newNetForm(d)
 	for e := range d.Nets {
-		pins := d.NetPins(e)
-		pinScratch = append(pinScratch[:0], pins...)
-		sort.Slice(pinScratch, func(a, b int) bool {
-			pa, pb := pinScratch[a], pinScratch[b]
-			if pa.Cell != pb.Cell {
-				return pa.Cell < pb.Cell
-			}
-			if pa.Dx != pb.Dx {
-				return pa.Dx < pb.Dx
-			}
-			return pa.Dy < pb.Dy
-		})
-		nw.h.Reset()
-		nw.f64(d.Nets[e].Weight)
-		nw.i64(int64(len(pinScratch)))
-		for _, p := range pinScratch {
-			nw.i64(int64(p.Cell))
-			nw.f64(p.Dx)
-			nw.f64(p.Dy)
-		}
-		nw.h.Sum(digests[e][:0])
+		digests[e] = sha256.Sum256(f.encode(d, e, nil))
 	}
-	sort.Slice(digests, func(a, b int) bool {
-		return bytes.Compare(digests[a][:], digests[b][:]) < 0
-	})
+	slices.SortFunc(digests, func(a, b [sha256.Size]byte) int { return bytes.Compare(a[:], b[:]) })
 	top.i64(int64(len(digests)))
 	for i := range digests {
 		top.h.Write(digests[i][:])

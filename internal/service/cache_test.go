@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -184,6 +185,44 @@ func TestCacheNearHitWarmStartsFromParent(t *testing.T) {
 	}
 	if done := waitState(t, m, v3.ID, StateDone); done.Cache != "miss" {
 		t.Errorf("orphan child cache outcome %q, want miss", done.Cache)
+	}
+}
+
+// TestCacheNearHitParentRebuildMatchesReuse runs one ECO child in two
+// managers. In the first the parent's design spec is the child's without the
+// perturbation, so the manager takes the parent design from the child's own
+// base. In the second the parent spells out Pads: 8, the default the child
+// leaves at 0: the same design from a different spec, which the manager
+// rebuilds. Both paths must warm-start the child identically.
+func TestCacheNearHitParentRebuildMatchesReuse(t *testing.T) {
+	child := func(explicitPads bool) JobView {
+		m := newDurableManager(t, t.TempDir(), 1)
+		parentSpec := cacheSpec(300)
+		childSpec := cacheSpec(300)
+		if explicitPads {
+			parentSpec.Design.Synth.Pads = 8
+		}
+		v1, err := m.Submit(parentSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, v1.ID, StateDone)
+		childSpec.Parent = v1.ID
+		childSpec.Design.Perturb = &PerturbSpec{Seed: 9, CellFrac: 0.01}
+		v2, err := m.Submit(childSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := waitState(t, m, v2.ID, StateDone)
+		if done.Cache != "near_hit" {
+			t.Fatalf("explicit pads %v: child cache outcome %q, want near_hit", explicitPads, done.Cache)
+		}
+		return done
+	}
+	reused, rebuilt := child(false), child(true)
+	if math.Float64bits(reused.Result.DPWL) != math.Float64bits(rebuilt.Result.DPWL) || reused.Result.GPIters != rebuilt.Result.GPIters {
+		t.Errorf("reused parent: HPWL %v in %d GP iterations; rebuilt parent: HPWL %v in %d",
+			reused.Result.DPWL, reused.Result.GPIters, rebuilt.Result.DPWL, rebuilt.Result.GPIters)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -594,7 +595,7 @@ func (m *Manager) run(j *job) {
 	if h := runHook; h != nil {
 		h(j.id)
 	}
-	d, err := j.spec.buildDesign(m.cfg.AuxRoot)
+	base, d, err := j.spec.buildDesigns(m.cfg.AuxRoot)
 	if err != nil {
 		m.log.Warn("job rejected: bad design", "job", j.id, "err", err)
 		j.finish(StateFailed, nil, err.Error())
@@ -622,7 +623,7 @@ func (m *Manager) run(j *job) {
 	if m.cache != nil {
 		outcome := "miss"
 		if j.spec.Parent != "" {
-			if ws := m.planNearHit(j, d); ws != nil {
+			if ws := m.planNearHit(j, base, d); ws != nil {
 				// Near hit: the design now carries the parent's placement
 				// (matched cells) with added cells centroid-seeded. Keep those
 				// positions and release only the delta's blast region.
@@ -782,12 +783,14 @@ func (m *Manager) serveCacheHit(j *job, d *netlist.Design, cached *checkpoint.Pl
 }
 
 // planNearHit tries to serve job j as an ECO near hit off its parent's cached
-// placement: rebuild the parent design from its persisted spec, look the
-// placement up under the parent's cache key, and plan a partial release of
-// the child around the structural delta. Any missing piece — unknown parent,
+// placement: look the placement up under the parent's cache key and plan a
+// partial release of the child around the structural delta. The parent
+// design is the child's unperturbed base when the two design specs differ
+// only in the perturbation, as every ECO resubmission's do; any other parent
+// is rebuilt from its persisted spec. Any missing piece — unknown parent,
 // uncached placement, oversized delta — returns nil and the job cold-starts;
 // the ECO path degrades, it never fails a job.
-func (m *Manager) planNearHit(j *job, child *netlist.Design) *ecocache.WarmStart {
+func (m *Manager) planNearHit(j *job, base, child *netlist.Design) *ecocache.WarmStart {
 	parentID := j.spec.Parent
 	var parentSpec JobSpec
 	ok := false
@@ -809,10 +812,15 @@ func (m *Manager) planNearHit(j *job, child *netlist.Design) *ecocache.WarmStart
 		m.log.Info("eco parent unknown, cold start", "job", j.id, "parent", parentID)
 		return nil
 	}
-	parentD, err := parentSpec.buildDesign(m.cfg.AuxRoot)
-	if err != nil {
-		m.log.Warn("eco parent design rebuild failed, cold start", "job", j.id, "parent", parentID, "err", err)
-		return nil
+	parentD := base
+	unperturbed := j.spec.Design
+	unperturbed.Perturb = nil
+	if !reflect.DeepEqual(parentSpec.Design, unperturbed) {
+		var err error
+		if parentD, err = parentSpec.buildDesign(m.cfg.AuxRoot); err != nil {
+			m.log.Warn("eco parent design rebuild failed, cold start", "job", j.id, "parent", parentID, "err", err)
+			return nil
+		}
 	}
 	key := ecocache.Key{Design: parentD.ContentHash(), Config: parentSpec.cacheFingerprint().Key()}
 	parentRes := m.cache.Get(key)

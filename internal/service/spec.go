@@ -254,16 +254,22 @@ func (s *JobSpec) placerConfig() placer.Config {
 // perturbation). Called inside a worker: generation of large synthetic
 // designs and Bookshelf parsing can be slow.
 func (s *JobSpec) buildDesign(auxRoot string) (*netlist.Design, error) {
-	d, err := s.buildBaseDesign(auxRoot)
-	if err != nil {
-		return nil, err
-	}
-	if pt := s.Design.Perturb; pt != nil {
-		return netlist.Perturb(d, netlist.Perturbation{
+	_, d, err := s.buildDesigns(auxRoot)
+	return d, err
+}
+
+// buildDesigns returns the design before and after the optional ECO
+// perturbation; d is base itself when the spec has none. Perturb returns a
+// copy, so base stays the unperturbed design.
+func (s *JobSpec) buildDesigns(auxRoot string) (base, d *netlist.Design, err error) {
+	base, err = s.buildBaseDesign(auxRoot)
+	if pt := s.Design.Perturb; err == nil && pt != nil {
+		d, err = netlist.Perturb(base, netlist.Perturbation{
 			Seed: pt.Seed, CellFrac: pt.CellFrac, NetFrac: pt.NetFrac,
 		})
+		return base, d, err
 	}
-	return d, nil
+	return base, base, err
 }
 
 // buildBaseDesign materializes the design source before any perturbation.
