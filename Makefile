@@ -37,8 +37,8 @@ race:
 		./internal/checkpoint/... ./internal/durable/... ./internal/density/... \
 		./internal/wirelength/... \
 		./internal/obs/... ./internal/guard/... ./internal/faultinject/... \
-		./internal/fleet/... ./internal/chaos/... ./internal/ecocache/... \
-		./internal/netlist/... ./internal/placertop/...
+		./internal/fleet/... ./internal/retry/... ./internal/chaos/... \
+		./internal/ecocache/... ./internal/netlist/... ./internal/placertop/...
 
 # fuzz-seeds replays the fuzz seed corpora as regular tests (regression
 # mode, no exploration) so `make check` keeps the known-hostile Bookshelf

@@ -239,8 +239,8 @@ func writeTrace(t *obs.Tracer, path string) error {
 
 // printPhaseSummary breaks the GP runtime down by engine phase, sorted by
 // total time spent, then prints the evaluation count and the named counters
-// sorted by name. density_reused explains why the density phases ran fewer
-// times than there were evaluations.
+// sorted by name. eval_reused explains why the wirelength and density
+// phases ran fewer times than there were evaluations.
 func printPhaseSummary(m *obs.Metrics) {
 	snap := m.Snapshot()
 	if len(snap.PhaseSeconds) == 0 {

@@ -35,54 +35,75 @@ type Delta struct {
 	Touched []int
 }
 
-// cellKeys maps each cell name of d to its index. It reports false unless
-// every cell has a unique non-empty name: Diff matches cells across two
-// designs by name when both have such names (the normal case for generated
-// and Bookshelf designs), by index otherwise.
-func cellKeys(d *Design) (map[string]int, bool) {
-	m := make(map[string]int, len(d.Cells))
-	for i, c := range d.Cells {
-		if c.Name == "" {
-			return nil, false
-		}
-		if _, dup := m[c.Name]; dup {
-			return nil, false
-		}
-		m[c.Name] = i
+// match pairs n child items (cells or nets) with np parent items: by name
+// when tryNames is set and every item on both sides has a unique non-empty
+// name (the normal case for generated and Bookshelf designs), by index
+// otherwise. It returns each child item's parent index (-1 for none), which
+// parent items were paired, and whether names were used.
+func match(np, n int, tryNames bool, parentName, childName func(int) string) ([]int, []bool, bool) {
+	m, paired := make([]int, n), make([]bool, np)
+	if tryNames && matchByName(m, paired, parentName, childName) {
+		return m, paired, true
 	}
-	return m, true
+	clear(paired)
+	for i := range m {
+		m[i] = -1
+		if i < np {
+			m[i], paired[i] = i, true
+		}
+	}
+	return m, paired, false
+}
+
+// matchByName fills m and paired by name, or reports false on an empty or
+// repeated name. It builds one map, of the parent's names; a repeated child
+// name either pairs one parent item twice or recurs among the child names
+// the parent lacks, which are kept in a map of their own.
+func matchByName(m []int, paired []bool, parentName, childName func(int) string) bool {
+	index := make(map[string]int, len(paired))
+	for j := range paired {
+		s := parentName(j)
+		if _, dup := index[s]; dup || s == "" {
+			return false
+		}
+		index[s] = j
+	}
+	unpaired := map[string]bool{}
+	for i := range m {
+		s := childName(i)
+		j, ok := index[s]
+		if s == "" || (ok && paired[j]) || (!ok && unpaired[s]) {
+			return false
+		}
+		if ok {
+			m[i], paired[j] = j, true
+		} else {
+			m[i], unpaired[s] = -1, true
+		}
+	}
+	return true
 }
 
 // Diff computes the structural delta from parent to child. Cells and nets
 // are matched by name when names are unique and non-empty on both sides,
-// falling back to index matching otherwise.
+// falling back to index matching otherwise; nets match by name only when
+// cells do.
 func Diff(parent, child *Design) *Delta {
-	dl := &Delta{CellMap: make([]int, len(child.Cells))}
-
-	pByName, pok := cellKeys(parent)
-	_, cok := cellKeys(child)
-	byName := pok && cok
-	parentMatched := make([]bool, len(parent.Cells))
+	cellMap, parentMatched, byName := match(len(parent.Cells), len(child.Cells), true,
+		func(i int) string { return parent.Cells[i].Name },
+		func(i int) string { return child.Cells[i].Name })
+	dl := &Delta{CellMap: cellMap}
 	// childKey keys the child's pins for the net compare: the parent index of
 	// a matched cell, or a negative key no parent net contains.
 	childKey := make([]int64, len(child.Cells))
 	for i, c := range child.Cells {
-		pi := -1
-		if byName {
-			if j, ok := pByName[c.Name]; ok {
-				pi = j
-			}
-		} else if i < len(parent.Cells) {
-			pi = i
-		}
-		dl.CellMap[i] = pi
+		pi := cellMap[i]
 		childKey[i] = int64(pi)
 		if pi < 0 {
 			childKey[i] = -1 - int64(i)
 			dl.AddedCells = append(dl.AddedCells, i)
 			continue
 		}
-		parentMatched[pi] = true
 		pc := parent.Cells[pi]
 		if pc.Kind != c.Kind || pc.W != c.W || pc.H != c.H {
 			dl.ResizedCells = append(dl.ResizedCells, i)
@@ -96,36 +117,17 @@ func Diff(parent, child *Design) *Delta {
 		}
 	}
 
-	// Nets compare in canonical form, matched by name when possible, by
-	// index otherwise.
-	netByName := byName && uniqueNetNames(parent) && uniqueNetNames(child)
-	parentNetIdx := make(map[string]int, len(parent.Nets))
-	if netByName {
-		for e := range parent.Nets {
-			parentNetIdx[parent.Nets[e].Name] = e
-		}
-	}
+	// Nets compare in canonical form.
+	netMap, netMatched, _ := match(len(parent.Nets), len(child.Nets), byName,
+		func(e int) string { return parent.Nets[e].Name },
+		func(e int) string { return child.Nets[e].Name })
 	cf, pf := newNetForm(child), newNetForm(parent)
-	childMatchedParentNet := make([]bool, len(parent.Nets))
-	for e := range child.Nets {
-		pe := -1
-		if netByName {
-			if j, ok := parentNetIdx[child.Nets[e].Name]; ok {
-				pe = j
-			}
-		} else if e < len(parent.Nets) {
-			pe = e
-		}
-		if pe < 0 {
-			dl.RewiredNets = append(dl.RewiredNets, e)
-			continue
-		}
-		childMatchedParentNet[pe] = true
-		if !bytes.Equal(cf.encode(child, e, childKey), pf.encode(parent, pe, nil)) {
+	for e, pe := range netMap {
+		if pe < 0 || !bytes.Equal(cf.encode(child, e, childKey), pf.encode(parent, pe, nil)) {
 			dl.RewiredNets = append(dl.RewiredNets, e)
 		}
 	}
-	for pe, ok := range childMatchedParentNet {
+	for pe, ok := range netMatched {
 		if !ok {
 			dl.RemovedNets = append(dl.RemovedNets, pe)
 		}
@@ -471,16 +473,4 @@ func Perturb(d *Design, pt Perturbation) (*Design, error) {
 		}
 	}
 	return b.Build()
-}
-
-// uniqueNetNames reports whether every net has a unique non-empty name.
-func uniqueNetNames(d *Design) bool {
-	seen := make(map[string]bool, len(d.Nets))
-	for _, n := range d.Nets {
-		if n.Name == "" || seen[n.Name] {
-			return false
-		}
-		seen[n.Name] = true
-	}
-	return true
 }

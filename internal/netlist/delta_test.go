@@ -412,10 +412,52 @@ func referenceNetSignature(d *Design, e int, cellKey func(int32) int) string {
 	return string(sb)
 }
 
-// referenceDiff recomputes the net half of a delta from string signatures,
-// given the cell half (CellMap, AddedCells, ResizedCells, MovedFixed) that
-// Diff produced, and derives Touched from its definition with maps.
-func referenceDiff(parent, child *Design, dl *Delta) (rewired, removed, touched []int) {
+// refCellKeys maps each cell name of d to its index. It reports false unless
+// every cell has a unique non-empty name.
+func refCellKeys(d *Design) (map[string]int, bool) {
+	m := make(map[string]int, len(d.Cells))
+	for i, c := range d.Cells {
+		if c.Name == "" {
+			return nil, false
+		}
+		if _, dup := m[c.Name]; dup {
+			return nil, false
+		}
+		m[c.Name] = i
+	}
+	return m, true
+}
+
+// refUniqueNetNames reports whether every net has a unique non-empty name.
+func refUniqueNetNames(d *Design) bool {
+	seen := make(map[string]bool, len(d.Nets))
+	for _, n := range d.Nets {
+		if n.Name == "" || seen[n.Name] {
+			return false
+		}
+		seen[n.Name] = true
+	}
+	return true
+}
+
+// referenceDiff recomputes the cell map of a delta by checking name
+// uniqueness up front, the net half from string signatures given the cell
+// half (CellMap, AddedCells, ResizedCells, MovedFixed) that Diff produced,
+// and Touched from its definition with maps.
+func referenceDiff(parent, child *Design, dl *Delta) (cellMap, rewired, removed, touched []int) {
+	pByName, pok := refCellKeys(parent)
+	_, cok := refCellKeys(child)
+	cellMap = make([]int, len(child.Cells))
+	for i, c := range child.Cells {
+		cellMap[i] = -1
+		if pok && cok {
+			if j, ok := pByName[c.Name]; ok {
+				cellMap[i] = j
+			}
+		} else if i < len(parent.Cells) {
+			cellMap[i] = i
+		}
+	}
 	parentOf := func(ci int32) int {
 		if pi := dl.CellMap[ci]; pi >= 0 {
 			return pi
@@ -423,9 +465,7 @@ func referenceDiff(parent, child *Design, dl *Delta) (rewired, removed, touched 
 		return -1 - int(ci)
 	}
 	identity := func(ci int32) int { return int(ci) }
-	_, pok := cellKeys(parent)
-	_, cok := cellKeys(child)
-	netByName := pok && cok && uniqueNetNames(parent) && uniqueNetNames(child)
+	netByName := pok && cok && refUniqueNetNames(parent) && refUniqueNetNames(child)
 	parentNetIdx := map[string]int{}
 	for e := range parent.Nets {
 		parentNetIdx[parent.Nets[e].Name] = e
@@ -502,7 +542,7 @@ func referenceDiff(parent, child *Design, dl *Delta) (rewired, removed, touched 
 		touched = append(touched, ci)
 	}
 	sort.Ints(touched)
-	return rewired, removed, touched
+	return cellMap, rewired, removed, touched
 }
 
 // ecoRandomDesign builds a random design for the reference comparison:
@@ -613,10 +653,47 @@ func ecoEdit(t testing.TB, rng *rand.Rand, d *Design) *Design {
 	return b.MustBuild()
 }
 
-// TestDiffMatchesSignatureReference holds Diff's net comparison to the
-// string-signature reference above, in both directions, over named and
-// unnamed cells, unique, duplicated and empty net names, nets of up to 40
-// pins, Perturb children at several strengths, and structural edits.
+// ecoDupChild rebuilds d with two new cells (dupCells) or two new nets that
+// share a name d lacks, placed before d's own cells or nets so that name and
+// index matching pair the rest differently. Diff must match the duplicated
+// kind by index.
+func ecoDupChild(t testing.TB, d *Design, dupCells bool) *Design {
+	t.Helper()
+	b := NewBuilder(d.Name)
+	b.SetRegion(d.Region)
+	for _, r := range d.Rows {
+		b.AddRow(r)
+	}
+	off := 0
+	if dupCells {
+		b.AddCell("dup", Movable, 1, 1, 0, 0)
+		b.AddCell("dup", Movable, 2, 1, 0, 0)
+		off = 2
+	}
+	for i, c := range d.Cells {
+		b.AddCell(c.Name, c.Kind, c.W, c.H, d.X[i], d.Y[i])
+	}
+	if !dupCells {
+		for k := 0; k < 2; k++ {
+			ne := b.AddNet("dup", 1)
+			b.AddPin(ne, k, 0.5, 0.5)
+			b.AddPin(ne, k+1, 0.5, 0.5)
+		}
+	}
+	for e := range d.Nets {
+		ne := b.AddNet(d.Nets[e].Name, d.Nets[e].Weight)
+		for _, p := range d.NetPins(e) {
+			b.AddPin(ne, int(p.Cell)+off, p.Dx, p.Dy)
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestDiffMatchesSignatureReference holds Diff's cell map and net comparison
+// to the reference above, in both directions, over named and unnamed cells,
+// unique, duplicated and empty net names, nets of up to 40 pins, Perturb
+// children at several strengths, structural edits, and children that
+// duplicate a cell or net name the parent lacks.
 func TestDiffMatchesSignatureReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	checks := 0
@@ -632,12 +709,17 @@ func TestDiffMatchesSignatureReference(t *testing.T) {
 			}
 			children = append(children, c)
 		}
-		children = append(children, ecoEdit(t, rng, d), ecoEdit(t, rng, children[1]))
+		children = append(children, ecoEdit(t, rng, d), ecoEdit(t, rng, children[1]),
+			ecoDupChild(t, d, true), ecoDupChild(t, d, false))
 		for ci, c := range children {
 			for _, pair := range [][2]*Design{{d, c}, {c, d}} {
 				p, ch := pair[0], pair[1]
 				dl := Diff(p, ch)
-				rewired, removed, touched := referenceDiff(p, ch, dl)
+				cellMap, rewired, removed, touched := referenceDiff(p, ch, dl)
+				if !slices.Equal(dl.CellMap, cellMap) {
+					t.Fatalf("trial %d child %d (named %v, nets %q): CellMap disagrees with the reference:\n got  %v\n want %v",
+						trial, ci, named, netNames, dl.CellMap, cellMap)
+				}
 				if !slices.Equal(dl.RewiredNets, rewired) || !slices.Equal(dl.RemovedNets, removed) || !slices.Equal(dl.Touched, touched) {
 					t.Fatalf("trial %d child %d (named %v, nets %q): Diff disagrees with the reference:\n rewired %v\n    want %v\n removed %v\n    want %v\n touched %v\n    want %v",
 						trial, ci, named, netNames, dl.RewiredNets, rewired, dl.RemovedNets, removed, dl.Touched, touched)

@@ -6,15 +6,16 @@ import "time"
 // style runtime breakdown) and the coarse flow phases. The five engine
 // phases are the ones the service exports per-phase latency histograms for.
 //
-// Wirelength runs once per evaluation. Stamp, solve and gather run once per
-// density computation: the engine reuses the position-only half of the
-// objective when an evaluation repeats the point it was computed at, and
-// counts those evaluations as "density_reused".
+// Wirelength, stamp, solve and gather run once per distinct point: the
+// smoothing parameter follows the evaluated point, so the engine reuses both
+// halves of the objective when an evaluation repeats the point they were
+// computed at, and counts those evaluations as "eval_reused". Set-up's
+// density computation adds one stamp, solve and gather span.
 const (
-	PhaseWirelength = "wirelength"     // model gradient (per eval)
-	PhaseStamp      = "density-stamp"  // smoothed stamping + overflow (per density computation)
-	PhaseSolve      = "poisson-solve"  // spectral solve + energy (per density computation)
-	PhaseGather     = "field-gather"   // per-entry field sampling (per density computation)
+	PhaseWirelength = "wirelength"     // model gradient (per distinct point)
+	PhaseStamp      = "density-stamp"  // smoothed stamping + overflow (per distinct point)
+	PhaseSolve      = "poisson-solve"  // spectral solve + energy (per distinct point)
+	PhaseGather     = "field-gather"   // per-entry field sampling (per distinct point)
 	PhaseStep       = "optimizer-step" // whole optimizer step (evals nest inside; self time includes gradient assembly)
 
 	PhaseIteration = "iteration" // umbrella span, one per loop iteration

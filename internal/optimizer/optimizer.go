@@ -125,7 +125,8 @@ func bbStep(v1, v0, g1, g0 []float64, fallback float64) float64 {
 // backtracking on the step size. Its first evaluation, at v_k, repeats the
 // previous step's accepted trial point, unless backtracking ran out: the
 // last shrink then predicts a trial point that is never evaluated. An
-// Evaluate that keeps work depending on the point alone can reuse it there.
+// Evaluate whose value and gradient depend on the point alone, apart from
+// terms it can reassemble cheaply, can reuse its work there.
 func (o *Nesterov) Step(eval Evaluate) float64 {
 	val := eval(o.v, o.g)
 	o.evalCount++

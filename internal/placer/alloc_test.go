@@ -8,8 +8,8 @@ import (
 )
 
 // nudged returns a copy of pos with its first entry moved by one ULP: a
-// point that misses the engine's kept density result, so an eval alternating
-// between pos and the copy recomputes the density half every call.
+// point that misses the engine's kept evaluation, so an eval alternating
+// between pos and the copy recomputes both halves every call.
 func nudged(pos []float64) []float64 {
 	q := append([]float64(nil), pos...)
 	q[0] = math.Nextafter(q[0], math.Inf(1))
@@ -17,11 +17,11 @@ func nudged(pos []float64) []float64 {
 }
 
 // TestEvalSteadyStateAllocFree pins the zero-allocation contract of the
-// objective/gradient evaluation on both of its paths: the full one
-// (wirelength + density stamp + spectral solve + field sampling + gradient
-// assembly) and the one that reuses the kept density half. The first call
-// grows the wirelength model's chunk lanes; every call after that must not
-// touch the heap.
+// objective/gradient evaluation on both of its paths: the full one (density
+// stamp + spectral solve + field sampling + wirelength + gradient assembly)
+// and the one that reuses the kept evaluation. The first call grows the
+// wirelength model's chunk lanes; every call after that must not touch the
+// heap.
 func TestEvalSteadyStateAllocFree(t *testing.T) {
 	d := testDesign(t, 2000, 2)
 	cfg := DefaultConfig(wirelength.NewMoreau())
@@ -30,7 +30,6 @@ func TestEvalSteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en.param = 1.5
 	en.lambda = 1e-3
 	grad := make([]float64, len(pos))
 	en.eval(pos, grad) // warm up: lane scratch growth happens here

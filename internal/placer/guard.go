@@ -220,9 +220,9 @@ func (g *guardian) restoreTo(snap *checkpoint.Snapshot, opt optimizer.Optimizer)
 	en.lambda = snap.Lambda
 	en.overflow = snap.Overflow
 	en.lastEnergy = snap.LastEnergy
-	// Drop the kept density result: it may hold a transient fault the
-	// rollback is meant to undo.
-	en.denKey = en.denKey[:0]
+	// Drop the kept evaluation: it may hold a transient fault the rollback
+	// is meant to undo.
+	en.key = en.key[:0]
 	g.lu.RestoreState(snap.LambdaSched)
 	en.unpack(opt.Pos())
 	// Drop everything recorded in the abandoned future, so the replay

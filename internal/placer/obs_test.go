@@ -15,11 +15,11 @@ import (
 
 // TestObservedRunTraceRoundTrip runs an instrumented placement and pins the
 // span accounting: the optimizer-step and iteration spans appear exactly
-// once per iteration, the wirelength span once per evaluation (>= once per
-// iteration: Nesterov backtracking re-evaluates), the three density phases
-// once per density computation (setup's, plus every evaluation that could
-// not reuse the kept result), and the exported Chrome trace decodes back to
-// the identical event list.
+// once per iteration, the wirelength span once per evaluation that could
+// not reuse the kept one, the three density phases once more than that
+// (set-up's computation, whose wirelength half calibrates lambda0 outside
+// any span), and the exported Chrome trace decodes back to the identical
+// event list.
 func TestObservedRunTraceRoundTrip(t *testing.T) {
 	d := testDesign(t, 80, 0)
 	cfg := fastConfig(wirelength.NewMoreau())
@@ -50,19 +50,19 @@ func TestObservedRunTraceRoundTrip(t *testing.T) {
 	if got := perPhase[obs.PhaseIteration]; got != res.Iterations {
 		t.Errorf("%s spans = %d, want exactly %d", obs.PhaseIteration, got, res.Iterations)
 	}
-	if got := perPhase[obs.PhaseWirelength]; got != res.Evaluations {
-		t.Errorf("%s spans = %d, want %d (one per evaluation)", obs.PhaseWirelength, got, res.Evaluations)
-	}
 	// Each Nesterov step's first evaluation repeats the previous step's
 	// accepted trial point (setup's point for the first step), and no
 	// backtracking runs out in this run.
-	reused := int(o.Metrics.Snapshot().Counters["density_reused"])
+	reused := int(o.Metrics.Snapshot().Counters["eval_reused"])
 	if reused != res.Iterations {
-		t.Errorf("density_reused = %d, want %d (one per iteration)", reused, res.Iterations)
+		t.Errorf("eval_reused = %d, want %d (one per iteration)", reused, res.Iterations)
+	}
+	if got, want := perPhase[obs.PhaseWirelength], res.Evaluations-reused; got != want {
+		t.Errorf("%s spans = %d, want %d (evaluations - eval_reused)", obs.PhaseWirelength, got, want)
 	}
 	for _, p := range []string{obs.PhaseStamp, obs.PhaseSolve, obs.PhaseGather} {
 		if got, want := perPhase[p], res.Evaluations-reused+1; got != want {
-			t.Errorf("%s spans = %d, want %d (evaluations - density_reused + setup's)", p, got, want)
+			t.Errorf("%s spans = %d, want %d (evaluations - eval_reused + setup's)", p, got, want)
 		}
 	}
 	if res.Evaluations < res.Iterations {

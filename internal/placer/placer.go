@@ -7,9 +7,10 @@
 //
 //	min_{x,y}  sum_e W_e(x, y) + lambda * D(x, y),
 //
-// with the smoothing parameter driven by the density overflow (the ePlace
-// gamma schedule for exponential models, the paper's tangent t schedule for
-// the Moreau model) and lambda driven by Eq. (15).
+// with the smoothing parameter driven by the density overflow of the point
+// being evaluated (the ePlace gamma schedule for exponential models, the
+// paper's tangent t schedule for the Moreau model) and lambda driven by
+// Eq. (15).
 package placer
 
 import (
@@ -149,7 +150,7 @@ type TrajectoryPoint struct {
 	Overflow  float64
 	HPWL      float64
 	Objective float64
-	Param     float64 // smoothing parameter (gamma or t) at this iteration
+	Param     float64 // smoothing parameter (gamma or t) from Overflow; the next step's gradient uses it
 	Lambda    float64
 }
 
@@ -225,18 +226,24 @@ type engine struct {
 	overflowArea  float64
 	targetDensity float64
 
-	param    float64 // current smoothing parameter
+	// schedule maps a density overflow to the smoothing parameter.
+	schedule func(phi float64) float64
+
+	param    float64 // smoothing parameter at the last evaluated point
 	lambda   float64
 	overflow float64
 
 	lastEnergy float64
 
-	// The position-only half of the objective (see density), kept for the
-	// point denKey so an evaluation at the bit-identical point skips it.
-	// denKey is empty when nothing is kept.
-	denKey                 []float64
+	// Both halves of the objective at the point key (see eval), kept so an
+	// evaluation at the bit-identical point skips them: the position-only
+	// half (see density) and the wirelength value and gradient (wl and the
+	// wgx/wgy lanes) at that point's own smoothing parameter. key is empty
+	// when nothing is kept.
+	key                    []float64
 	fx, fy                 []float64 // field sampled per position entry
 	denOverflow, denEnergy float64
+	wl                     float64
 
 	// evalFn is eval as a function value, built once: a method value
 	// created for every optimizer step would allocate.
@@ -359,6 +366,13 @@ func newEngine(d *netlist.Design, cfg Config) (*engine, []float64, error) {
 	en.grid = density.NewGrid(d.Region, gx, gy)
 	en.elec = density.NewElectro(en.grid)
 	en.elec.Obs = cfg.Obs
+
+	// Validate has rejected unknown schedules; "" picks by the model.
+	if cfg.Schedule == "tangent" || (cfg.Schedule == "" && cfg.Model.ParamKind() == wirelength.ParamMoreauT) {
+		en.schedule = TSchedule{T0: cfg.T0, Delta: cfg.Delta, BinW: en.grid.BinW, BinH: en.grid.BinH}.At
+	} else {
+		en.schedule = GammaSchedule{Gamma0: cfg.Gamma0, BinW: en.grid.BinW, BinH: en.grid.BinH}.At
+	}
 
 	en.targetDensity = d.TargetDensity
 	if cfg.TargetDensity > 0 {
@@ -522,18 +536,6 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 		return nil, err
 	}
 
-	gammaSched := GammaSchedule{Gamma0: cfg.Gamma0, BinW: en.grid.BinW, BinH: en.grid.BinH}
-	tSched := TSchedule{T0: cfg.T0, Delta: cfg.Delta, BinW: en.grid.BinW, BinH: en.grid.BinH}
-	// Validate has rejected unknown schedules; "" picks by the model.
-	useTangent := cfg.Schedule == "tangent" ||
-		(cfg.Schedule == "" && cfg.Model.ParamKind() == wirelength.ParamMoreauT)
-	schedule := func(phi float64) float64 {
-		if useTangent {
-			return tSched.At(phi)
-		}
-		return gammaSched.At(phi)
-	}
-
 	if cfg.Resume == nil && cfg.ResumeDir != "" {
 		fp := en.fingerprint()
 		snap, path, lerr := checkpoint.LoadLatestMatching(cfg.ResumeDir, func(s *checkpoint.Snapshot) error {
@@ -566,11 +568,11 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 	} else {
 		// Measure the initial overflow and calibrate lambda0 from the ratio
 		// of wirelength to density gradient magnitudes (ePlace). The kept
-		// density result also serves the optimizer's first evaluation.
+		// evaluation also serves the optimizer's first evaluation.
 		en.unpack(pos)
 		en.density(pos)
 		en.overflow = en.denOverflow
-		en.param = schedule(en.overflow)
+		en.param = en.schedule(en.overflow)
 		lambda0 := en.calibrateLambda0()
 		lu.Prime(lambda0, en.denEnergy)
 		en.lambda = lu.Lambda()
@@ -683,7 +685,6 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 			grd.maybeSnapshot(k, opt)
 		}
 		it := o.StartIteration(k)
-		en.param = schedule(en.overflow)
 		sp := o.StartPhase(obs.PhaseStep)
 		obj := opt.Step(en.evalFn)
 		sp.End()
@@ -853,9 +854,11 @@ func (en *engine) stampAndOverflow(pos []float64) float64 {
 
 // calibrateLambda0 returns the ePlace initial density weight: the ratio of
 // the wirelength gradient L1 norm to the density gradient L1 norm at the
-// initial placement. density must already have run there.
+// initial placement. density must already have run there and param be set
+// from its overflow; the wirelength half computed here completes the kept
+// evaluation.
 func (en *engine) calibrateLambda0() float64 {
-	en.cfg.Model.WirelengthGrad(en.wlD, en.param, en.wgx, en.wgy)
+	en.wl = en.cfg.Model.WirelengthGrad(en.wlD, en.param, en.wgx, en.wgy)
 	var wlNorm, denNorm float64
 	for i, c := range en.mov {
 		wlNorm += math.Abs(en.wgx[c]) + math.Abs(en.wgy[c])
@@ -869,7 +872,8 @@ func (en *engine) calibrateLambda0() float64 {
 
 // density computes the half of the objective that depends on positions
 // alone — stamping, overflow, the spectral solve, the energy, and the field
-// sampled at each entry's smoothed footprint — and keeps it for pos.
+// sampled at each entry's smoothed footprint — and keeps it for pos. The
+// caller completes the kept evaluation with the wirelength half at pos.
 func (en *engine) density(pos []float64) {
 	o := en.cfg.Obs
 	sp := o.StartPhase(obs.PhaseStamp)
@@ -885,7 +889,7 @@ func (en *engine) density(pos []float64) {
 		en.fx[i], en.fy[i] = en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], 2*en.halfW[i], 2*en.halfH[i])
 	}
 	sp.End()
-	en.denKey = append(en.denKey[:0], pos...)
+	en.key = append(en.key[:0], pos...)
 }
 
 // sameBits reports whether a and b hold bit-identical values, so -0 differs
@@ -903,24 +907,25 @@ func sameBits(a, b []float64) bool {
 }
 
 // eval is the full objective W + lambda*D with gradient, used by the
-// optimizer (including its backtracking trials). The wirelength half is
-// recomputed every call, since its smoothing parameter moves between calls;
-// the density half is reused when pos repeats the last point density ran
-// at, which Nesterov's first evaluation of each step does.
+// optimizer (including its backtracking trials). The smoothing parameter
+// follows the evaluated point: it comes from pos's own density overflow, so
+// both halves are functions of pos alone and are reused when pos repeats
+// the kept point, which Nesterov's first evaluation of each step does. Only
+// the gradient assembly depends on lambda and runs every call.
 func (en *engine) eval(pos, grad []float64) float64 {
 	o := en.cfg.Obs
 	if o != nil {
 		o.Metrics.EvalDone()
 	}
-	en.unpack(pos)
-	sp := o.StartPhase(obs.PhaseWirelength)
-	w := en.cfg.Model.WirelengthGrad(en.wlD, en.param, en.wgx, en.wgy)
-	sp.End()
-
-	if !sameBits(pos, en.denKey) {
+	if !sameBits(pos, en.key) {
 		en.density(pos)
+		en.param = en.schedule(en.denOverflow)
+		en.unpack(pos)
+		sp := o.StartPhase(obs.PhaseWirelength)
+		en.wl = en.cfg.Model.WirelengthGrad(en.wlD, en.param, en.wgx, en.wgy)
+		sp.End()
 	} else if o != nil {
-		o.Metrics.Count("density_reused", 1)
+		o.Metrics.Count("eval_reused", 1)
 	}
 	en.overflow = en.denOverflow
 	en.lastEnergy = en.denEnergy
@@ -953,5 +958,5 @@ func (en *engine) eval(pos, grad []float64) float64 {
 		grad[i] = -en.lambda * en.fx[i] / fillerPre
 		grad[n+i] = -en.lambda * en.fy[i] / fillerPre
 	}
-	return w + en.lambda*en.denEnergy
+	return en.wl + en.lambda*en.denEnergy
 }

@@ -125,9 +125,17 @@ func TestPlaceTrajectoryRecordsDescent(t *testing.T) {
 	if last.Overflow >= first.Overflow {
 		t.Errorf("overflow did not decrease: %g -> %g", first.Overflow, last.Overflow)
 	}
+	// Each sample's smoothing parameter is the one its own overflow sets.
+	en, _, err := newEngine(testDesign(t, 500, 0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range res.Trajectory {
 		if p.Param <= 0 {
 			t.Errorf("iteration %d: non-positive smoothing parameter %g", p.Iter, p.Param)
+		}
+		if want := en.schedule(p.Overflow); p.Param != want {
+			t.Errorf("iteration %d: smoothing parameter %g, want %g from overflow %g", p.Iter, p.Param, want, p.Overflow)
 		}
 		if p.Lambda <= 0 {
 			t.Errorf("iteration %d: non-positive lambda %g", p.Iter, p.Lambda)
