@@ -28,17 +28,19 @@ test:
 # under the race detector; the placer suite includes the observed
 # cancel-vs-checkpoint race test, the service suite includes the
 # kill-and-recover, panic-isolation, and cache-hit tests, the fleet suite
-# includes the journal crash-recovery and cancel-vs-dispatch race tests, the
-# durable suite races writers on one path, the ecocache/netlist suites
+# includes the journal crash-recovery and cancel-vs-dispatch/steal race
+# tests, the durable suite races writers on one path, the ecocache/netlist suites
 # cover the concurrent cache and content hashing the ECO fast path keys on,
-# and the placertop suite tails live trajectories through a coordinator.
+# the placertop suite tails live trajectories through a coordinator, and the
+# experiments suite runs the design pool that places designs concurrently.
 race:
 	$(GO) test -race ./internal/service/... ./internal/placer/... \
 		./internal/checkpoint/... ./internal/durable/... ./internal/density/... \
 		./internal/wirelength/... \
 		./internal/obs/... ./internal/guard/... ./internal/faultinject/... \
 		./internal/fleet/... ./internal/retry/... ./internal/chaos/... \
-		./internal/ecocache/... ./internal/netlist/... ./internal/placertop/...
+		./internal/ecocache/... ./internal/netlist/... ./internal/placertop/... \
+		./internal/experiments/...
 
 # fuzz-seeds replays the fuzz seed corpora as regular tests (regression
 # mode, no exploration) so `make check` keeps the known-hostile Bookshelf

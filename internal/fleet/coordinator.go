@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,9 +79,13 @@ const (
 )
 
 // fleetJob is the coordinator's record of one submitted job. All mutable
-// fields are guarded by the coordinator's mu; assignment transitions happen
-// on the submit path (fresh records) or inside Tick, never concurrently for
-// the same record.
+// fields are guarded by the coordinator's mu. The journaled ones — the
+// worker binding (worker, workerURL, remoteID, dataDir), the reroute and
+// steal counts, the resume pointer in spec and the terminal flag — are
+// written only by applyLocked. Cancel, Get and DeregisterWorker run beside
+// the maintenance tick, so a job's binding can change between two critical
+// sections: a worker's answer is folded in only while the binding it came
+// from still holds.
 type fleetJob struct {
 	id        string
 	tenant    string
@@ -103,6 +109,11 @@ type fleetJob struct {
 	// recovered marks a journal-replayed assignment awaiting reconciliation:
 	// re-adopted when its worker re-heartbeats, re-routed after the grace.
 	recovered bool
+	// stealing marks a steal's conditional cancel in flight: the source's
+	// copy is going away, so its state is not folded in, and a Cancel
+	// meanwhile dies in the coordinator (the steal then revokes any copy
+	// the source kept).
+	stealing bool
 }
 
 // JobView is the fleet API's JSON snapshot of one job: coordinator routing
@@ -246,92 +257,103 @@ func (c *Coordinator) journalAppend(rec journalRecord) {
 	c.tel.JournalRecords.Inc()
 }
 
-// recoverFromJournal folds replayed records back into the job table.
+// applyLocked folds one journal record into the job table and returns the
+// job it names (nil when the table does not hold it). It is the only code
+// that writes a job's worker binding, its reroute and steal counts, its
+// resume pointer and its terminal flag: replay calls it once per record,
+// and each live transition builds its record and commits it (commitLocked),
+// so the table a journal replays to is the table the live coordinator held.
+// Any transition also ends a replayed assignment's recovered state. Call
+// with c.mu held.
+func (c *Coordinator) applyLocked(rec journalRecord) *fleetJob {
+	if rec.Kind == recMeta {
+		c.seq = max(c.seq, rec.Seq)
+		return nil
+	}
+	j := c.jobs[rec.Job]
+	if rec.Kind == recAccepted {
+		if j != nil || rec.Job == "" || rec.Spec == nil {
+			return j // a duplicate (a compaction raced its append) changes nothing
+		}
+		class, _ := ParseClass(rec.Class)
+		j = &fleetJob{
+			id: rec.Job, tenant: rec.Tenant, class: class,
+			spec: *rec.Spec, key: rec.Key, submitted: rec.Submitted,
+			idemKey: rec.IdemKey, state: "pending",
+		}
+		c.jobs[j.id] = j
+		c.order = append(c.order, j)
+		if j.idemKey != "" {
+			c.idem[j.idemKey] = j.id
+		}
+		var n int64
+		if _, err := fmt.Sscanf(rec.Job, "fj-%d", &n); err == nil {
+			c.seq = max(c.seq, n)
+		}
+		return j
+	}
+	if j == nil {
+		return nil
+	}
+	j.recovered = false
+	switch rec.Kind {
+	case recAssigned:
+		j.worker, j.workerURL, j.remoteID, j.dataDir = rec.Worker, rec.WorkerURL, rec.RemoteID, rec.DataDir
+		j.state = cmp.Or(rec.State, string(service.StateQueued))
+	case recRerouted:
+		if rec.ResumeDir != "" {
+			j.spec.Resume = &service.ResumeSpec{Dir: rec.ResumeDir}
+		}
+		j.worker, j.workerURL, j.remoteID, j.dataDir = "", "", "", ""
+		j.state = "pending"
+		if rec.Steal {
+			j.steals++
+		} else {
+			j.reroutes++
+		}
+	case recTerminal:
+		if rec.State == "rejected" {
+			// A 429 or a failed journal append revoked this accept: as far
+			// as the client knows it never existed, so its key frees up.
+			if j.idemKey != "" {
+				delete(c.idem, j.idemKey)
+			}
+			delete(c.jobs, j.id)
+			c.removeFromOrderLocked(j)
+			return j
+		}
+		j.terminal = true
+		j.state = cmp.Or(rec.State, j.state)
+	}
+	return j
+}
+
+// commitLocked makes one live transition: it applies the record, then
+// journals it (call with c.mu held).
+func (c *Coordinator) commitLocked(rec journalRecord) {
+	c.applyLocked(rec)
+	c.journalAppend(rec)
+}
+
+// recoverFromJournal replays the journal into the job table, then sorts the
+// surviving jobs: terminal ones are history, unplaced ones re-enter the
+// dispatch queue, and placed ones await their worker.
 func (c *Coordinator) recoverFromJournal(recs []journalRecord) {
 	c.mu.Lock()
 	for _, rec := range recs {
-		switch rec.Kind {
-		case recMeta:
-			if rec.Seq > c.seq {
-				c.seq = rec.Seq
-			}
-		case recAccepted:
-			if rec.Job == "" || rec.Spec == nil {
-				continue
-			}
-			if _, dup := c.jobs[rec.Job]; dup {
-				continue
-			}
-			class, _ := ParseClass(rec.Class)
-			j := &fleetJob{
-				id: rec.Job, tenant: rec.Tenant, class: class,
-				spec: *rec.Spec, key: rec.Key, submitted: rec.Submitted,
-				idemKey: rec.IdemKey, state: "pending",
-			}
-			c.jobs[j.id] = j
-			c.order = append(c.order, j)
-			if j.idemKey != "" {
-				c.idem[j.idemKey] = j.id
-			}
-			var n int64
-			if _, err := fmt.Sscanf(rec.Job, "fj-%d", &n); err == nil && n > c.seq {
-				c.seq = n
-			}
-		case recAssigned:
-			j := c.jobs[rec.Job]
-			if j == nil {
-				continue
-			}
-			j.worker, j.workerURL, j.remoteID, j.dataDir = rec.Worker, rec.WorkerURL, rec.RemoteID, rec.DataDir
-			if rec.State != "" {
-				j.state = rec.State
-			} else {
-				j.state = string(service.StateQueued)
-			}
-		case recRerouted:
-			j := c.jobs[rec.Job]
-			if j == nil {
-				continue
-			}
-			if rec.ResumeDir != "" {
-				j.spec.Resume = &service.ResumeSpec{Dir: rec.ResumeDir}
-			}
-			j.worker, j.workerURL, j.remoteID, j.dataDir = "", "", "", ""
-			j.state = "pending"
-			j.reroutes++
-		case recTerminal:
-			j := c.jobs[rec.Job]
-			if j == nil {
-				continue
-			}
-			if rec.State == "rejected" {
-				// A saturation 429 revoked this accept: it never existed as
-				// far as the client knows. Drop it and free its key.
-				if j.idemKey != "" {
-					delete(c.idem, j.idemKey)
-				}
-				delete(c.jobs, j.id)
-				c.removeFromOrderLocked(j)
-				continue
-			}
-			j.terminal = true
-			j.released = true // admission state is fresh after a restart
-			if rec.State != "" {
-				j.state = rec.State
-			}
-		}
+		c.applyLocked(rec)
 	}
 	recovered := 0
 	var assigned []*fleetJob
 	for _, j := range c.order {
 		if j.terminal {
+			j.released = true // admission state is fresh after a restart
 			continue
 		}
 		recovered++
 		// Re-occupy the tenant's quota slot (without charging its rate
 		// bucket) so the fresh admission state matches the recovered load.
 		c.adm.Adopt(j.tenant)
-		j.released = false
 		if j.worker == "" {
 			// Accepted or rerouted but unplaced: straight back into the
 			// dispatch queue. Recovery may exceed PendingLimit — accepted
@@ -355,8 +377,10 @@ func (c *Coordinator) recoverFromJournal(recs []journalRecord) {
 }
 
 // journalSnapshotLocked re-serializes the retained job table as a compact
-// journal: per job, an accepted record plus assigned/terminal records as
-// applicable (reroute history is already baked into the stored spec).
+// journal whose records, applied in order, rebuild the same table: per job
+// an accepted record (its spec already carries any resume pointer), one
+// rerouted record per reroute and per steal, then assigned and terminal
+// records as applicable.
 func (c *Coordinator) journalSnapshotLocked() []journalRecord {
 	recs := make([]journalRecord, 0, 1+2*len(c.order))
 	recs = append(recs, journalRecord{Kind: recMeta, Seq: c.seq})
@@ -367,6 +391,9 @@ func (c *Coordinator) journalSnapshotLocked() []journalRecord {
 			Class: j.class.String(), IdemKey: j.idemKey, Key: j.key,
 			Spec: &spec, Submitted: j.submitted,
 		})
+		for i := 0; i < j.reroutes+j.steals; i++ {
+			recs = append(recs, journalRecord{Kind: recRerouted, Job: j.id, Steal: i >= j.reroutes})
+		}
 		if j.worker != "" {
 			recs = append(recs, journalRecord{
 				Kind: recAssigned, Job: j.id, Worker: j.worker,
@@ -457,55 +484,18 @@ func (c *Coordinator) Tick(now time.Time) {
 // into the journaled durable store, the same warm-start handoff as TTL
 // expiry.
 func (c *Coordinator) reconcileRecovered(now time.Time) {
-	var orphans []*fleetJob
-	c.mu.Lock()
-	for _, j := range c.order {
-		if !j.recovered || j.terminal {
-			continue
-		}
-		if j.worker == "" {
-			j.recovered = false
-			continue
+	graceOver := now.Sub(c.bootedAt) >= 2*c.cfg.HeartbeatTTL
+	c.reroute("recovered worker never returned", func(j *fleetJob) (string, bool) {
+		if !j.recovered {
+			return "", false
 		}
 		if _, live := c.reg.Get(j.worker, now); live {
 			j.recovered = false
 			c.log.Info("recovered job re-adopted", "job", j.id, "worker", j.worker)
-			continue
+			return "", false
 		}
-		if now.Sub(c.bootedAt) < 2*c.cfg.HeartbeatTTL {
-			continue
-		}
-		if j.dataDir != "" && j.remoteID != "" {
-			dir := filepath.Join(j.dataDir, "jobs", j.remoteID, "checkpoints")
-			j.spec.Resume = &service.ResumeSpec{Dir: dir}
-		}
-		c.aff.Drop(j.key)
-		j.worker, j.workerURL, j.remoteID, j.dataDir = "", "", "", ""
-		j.state = "pending"
-		j.reroutes++
-		j.recovered = false
-		c.journalAppend(rerouteRecord(j))
-		orphans = append(orphans, j)
-	}
-	c.mu.Unlock()
-	for _, j := range orphans {
-		c.tel.JobsRerouted.Inc()
-		c.log.Warn("recovered worker never returned, rerouting job",
-			"job", j.id, "resume", j.spec.Resume != nil)
-		if !c.assign(j) {
-			c.enqueuePending(j)
-		}
-	}
-}
-
-// rerouteRecord builds the journal record for a job whose assignment was
-// just cleared (call with c.mu held, after mutating the job).
-func rerouteRecord(j *fleetJob) journalRecord {
-	rec := journalRecord{Kind: recRerouted, Job: j.id}
-	if j.spec.Resume != nil {
-		rec.ResumeDir = j.spec.Resume.Dir
-	}
-	return rec
+		return j.dataDir, graceOver
+	})
 }
 
 // publishWorkerHealth refreshes the per-worker liveness gauges on /metrics
@@ -602,47 +592,21 @@ func (c *Coordinator) SubmitIdem(spec service.JobSpec, tenant, idemKey string) (
 		}
 	}
 	c.seq++
-	j := &fleetJob{
-		id:        fmt.Sprintf("fj-%06d", c.seq),
-		tenant:    tenant,
-		class:     c.adm.Class(tenant),
-		spec:      spec,
-		key:       key,
-		submitted: start,
-		state:     "pending",
-		idemKey:   idemKey,
+	accept := journalRecord{
+		Kind: recAccepted, Job: fmt.Sprintf("fj-%06d", c.seq), Tenant: tenant,
+		Class: c.adm.Class(tenant).String(), IdemKey: idemKey, Key: key,
+		Spec: &spec, Submitted: start,
 	}
-	c.jobs[j.id] = j
-	c.order = append(c.order, j)
-	if idemKey != "" {
-		c.idem[idemKey] = j.id
-	}
+	j := c.applyLocked(accept)
 	c.mu.Unlock()
 	// The accept must be durable before it is acknowledged: a journal that
 	// cannot record the job refuses it (the client retries against a
 	// coordinator that can uphold the no-loss guarantee).
 	if c.journal != nil {
-		specCopy := spec
-		rec := journalRecord{
-			Kind: recAccepted, Job: j.id, Tenant: tenant,
-			Class: j.class.String(), IdemKey: idemKey, Key: key,
-			Spec: &specCopy, Submitted: start,
-		}
-		if err := c.journal.Append(rec); err != nil {
+		if err := c.journal.Append(accept); err != nil {
 			c.mu.Lock()
-			delete(c.jobs, j.id)
-			c.removeFromOrderLocked(j)
-			if idemKey != "" {
-				delete(c.idem, idemKey)
-			}
-			// Best-effort revocation: if a compaction snapshotted the job
-			// between the insert and this failed append, only a surviving
-			// "rejected" record keeps it from resurrecting at replay. With
-			// the journal truly dead this append fails too, harmlessly.
-			c.journalAppend(journalRecord{Kind: recTerminal, Job: j.id, State: "rejected"})
+			c.revokeLocked(j)
 			c.mu.Unlock()
-			c.adm.Release(tenant)
-			c.tel.JobsRejected.Inc()
 			c.log.Error("journal append failed, refusing job", "err", err)
 			return JobView{}, 0, fmt.Errorf("fleet: journal accept: %w", err)
 		}
@@ -650,32 +614,39 @@ func (c *Coordinator) SubmitIdem(spec service.JobSpec, tenant, idemKey string) (
 	}
 	c.tel.JobsSubmitted.Inc()
 
-	if c.assign(j) {
+	if c.assign(j, nil) {
 		c.tel.SubmitSeconds.Observe(c.now().Sub(start).Seconds())
 		return c.view(j), 0, nil
 	}
 	// No worker took it: hold the job in the coordinator's pending queue if
 	// there is room, else push back on the client.
 	c.mu.Lock()
-	if len(c.pending) >= c.cfg.PendingLimit {
-		delete(c.jobs, j.id)
-		c.removeFromOrderLocked(j)
-		if idemKey != "" {
-			delete(c.idem, idemKey)
-		}
-		// "rejected" tells replay this accept was revoked with a 429 — the
-		// job must not resurrect and its idempotency key must free up.
-		c.journalAppend(journalRecord{Kind: recTerminal, Job: j.id, State: "rejected"})
-		c.mu.Unlock()
-		c.adm.Release(tenant)
-		c.tel.JobsRejected.Inc()
+	parked := len(c.pending) < c.cfg.PendingLimit
+	if parked {
+		c.pending = append(c.pending, j)
+		c.tel.JobsPending.Set(int64(len(c.pending)))
+	} else {
+		c.revokeLocked(j)
+	}
+	c.mu.Unlock()
+	if !parked {
 		return JobView{}, 2 * time.Second, ErrSaturated
 	}
-	c.pending = append(c.pending, j)
-	c.tel.JobsPending.Set(int64(len(c.pending)))
-	c.mu.Unlock()
 	c.log.Info("job pending", "job", j.id, "tenant", tenant)
 	return c.view(j), 0, nil
+}
+
+// revokeLocked withdraws an accept the client never sees acknowledged (a
+// failed journal append or a saturation 429): the "rejected" record drops
+// the job and frees its idempotency key, live and at replay, and the
+// admission slot goes back. When the journal itself failed this append
+// fails too, harmlessly; it matters when a compaction snapshotted the job
+// before the revocation, because only a surviving "rejected" record keeps
+// the job from resurrecting at replay.
+func (c *Coordinator) revokeLocked(j *fleetJob) {
+	c.commitLocked(journalRecord{Kind: recTerminal, Job: j.id, State: "rejected"})
+	c.releaseLocked(j)
+	c.tel.JobsRejected.Inc()
 }
 
 // removeFromOrderLocked drops exactly j from the submission-order slice
@@ -706,60 +677,65 @@ func (c *Coordinator) idemJobLocked(idemKey string) *fleetJob {
 func (c *Coordinator) Get(id string) (JobView, error) {
 	c.mu.Lock()
 	j, ok := c.jobs[id]
-	var url, remote string
-	var refresh bool
-	if ok {
-		url, remote = j.workerURL, j.remoteID
-		refresh = j.worker != "" && !j.terminal
+	var worker, url, remote string
+	if ok && !j.terminal {
+		worker, url, remote = j.worker, j.workerURL, j.remoteID
 	}
 	c.mu.Unlock()
 	if !ok {
 		return JobView{}, ErrUnknownJob
 	}
-	if refresh {
-		if v, err := c.getRemote(url, remote); err == nil {
-			c.mu.Lock()
-			c.updateFromWorkerLocked(j, v)
-			c.mu.Unlock()
-		} else {
+	if worker != "" {
+		v, err := c.getRemote(url, remote)
+		if err != nil {
 			c.tel.ProxyErrors.Inc()
 		}
+		c.mu.Lock()
+		if err == nil && j.worker == worker && j.remoteID == remote {
+			c.updateFromWorkerLocked(j, v)
+		}
+		c.mu.Unlock()
 	}
 	return c.view(j), nil
 }
 
-// Cancel cancels a job: pending jobs die in the coordinator, assigned ones
-// are cancelled on their worker.
+// Cancel cancels a job: an unplaced or mid-steal one dies in the
+// coordinator (the dispatch or steal in flight then revokes the copy it
+// leaves), a placed one is cancelled on its worker. When a reroute or steal
+// moves the job while the worker call is in flight, that worker's answer is
+// stale and the cancel follows the job.
 func (c *Coordinator) Cancel(id string) (JobView, error) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	var assigned bool
-	var url, remote string
-	if ok {
-		assigned = j.worker != ""
-		url, remote = j.workerURL, j.remoteID
-		if !assigned && !j.terminal {
-			j.terminal = true
-			j.state = "cancelled"
-			c.releaseLocked(j)
-			c.dropPendingLocked(j)
-			c.journalAppend(journalRecord{Kind: recTerminal, Job: j.id, State: j.state})
-		}
-	}
-	c.mu.Unlock()
-	if !ok {
-		return JobView{}, ErrUnknownJob
-	}
-	if assigned {
-		if v, err := c.cancelRemote(url, remote); err == nil {
-			c.mu.Lock()
-			c.updateFromWorkerLocked(j, v)
+	for {
+		c.mu.Lock()
+		j, ok := c.jobs[id]
+		if !ok {
 			c.mu.Unlock()
-		} else {
+			return JobView{}, ErrUnknownJob
+		}
+		if j.terminal || j.worker == "" || j.stealing {
+			if !j.terminal {
+				c.finishLocked(j, "cancelled")
+				c.dropPendingLocked(j)
+			}
+			c.mu.Unlock()
+			return c.view(j), nil
+		}
+		worker, url, remote := j.worker, j.workerURL, j.remoteID
+		c.mu.Unlock()
+		v, err := c.cancelRemote(url, remote)
+		if err != nil {
 			c.tel.ProxyErrors.Inc()
 		}
+		c.mu.Lock()
+		moved := j.worker != worker || j.remoteID != remote
+		if err == nil && !moved {
+			c.updateFromWorkerLocked(j, v)
+		}
+		c.mu.Unlock()
+		if !moved {
+			return c.view(j), nil
+		}
 	}
-	return c.view(j), nil
 }
 
 // List returns every retained job in submission order.
@@ -824,6 +800,16 @@ func (c *Coordinator) releaseLocked(j *fleetJob) {
 	}
 }
 
+// finishLocked moves a job to its terminal state, at most once, and returns
+// its admission slot.
+func (c *Coordinator) finishLocked(j *fleetJob, state string) {
+	if j.terminal {
+		return
+	}
+	c.commitLocked(journalRecord{Kind: recTerminal, Job: j.id, State: state})
+	c.releaseLocked(j)
+}
+
 // dropPendingLocked removes a job from the pending slice.
 func (c *Coordinator) dropPendingLocked(j *fleetJob) {
 	for i, p := range c.pending {
@@ -834,15 +820,18 @@ func (c *Coordinator) dropPendingLocked(j *fleetJob) {
 	}
 }
 
-// updateFromWorkerLocked folds a proxied worker view into the record.
+// updateFromWorkerLocked folds a view of the job's current worker copy into
+// the record; a terminal worker state finishes the job. A finished job keeps
+// the state it finished in, and a copy a steal is cancelling reports nothing.
 func (c *Coordinator) updateFromWorkerLocked(j *fleetJob, v service.JobView) {
-	vv := v
-	j.last = &vv
-	j.state = string(v.State)
-	if v.State.Terminal() && !j.terminal {
-		j.terminal = true
-		c.releaseLocked(j)
-		c.journalAppend(journalRecord{Kind: recTerminal, Job: j.id, State: j.state})
+	if j.terminal || j.stealing {
+		return
+	}
+	j.last = &v
+	if v.State.Terminal() {
+		c.finishLocked(j, string(v.State))
+	} else {
+		j.state = string(v.State)
 	}
 }
 
@@ -907,11 +896,13 @@ func dispatchSpec(j *fleetJob, workerID, pWorker, pRemote string) service.JobSpe
 	return spec
 }
 
-// assign routes one unassigned job: the worker holding its ECO parent
-// first (that node serves the warm start), then the checkpoint-affinity
-// worker (when live), then every live worker in rendezvous order, until
-// one accepts. Returns false when nobody can take the job right now.
-func (c *Coordinator) assign(j *fleetJob) bool {
+// assign routes one unassigned job: first (a steal's idle target), when
+// given, ahead of everyone; then the worker holding its ECO parent (that
+// node serves the warm start), then the checkpoint-affinity worker (when
+// live), then every live worker in rendezvous order, until one accepts.
+// Returns false when nobody can take the job right now. A job cancelled
+// while its POST was in flight has the copy it landed revoked.
+func (c *Coordinator) assign(j *fleetJob, first *Heartbeat) bool {
 	now := c.now()
 	live := c.reg.Live(now)
 	if len(live) == 0 {
@@ -920,19 +911,21 @@ func (c *Coordinator) assign(j *fleetJob) bool {
 	pWorker, pRemote := c.parentPlacement(j)
 	var cands []Heartbeat
 	seen := make(map[string]bool)
-	if pWorker != "" {
-		if hb, live := c.reg.Get(pWorker, now); live {
+	if first != nil {
+		seen[first.ID] = true
+	}
+	add := func(id string) {
+		if hb, live := c.reg.Get(id, now); live && !seen[id] {
 			cands = append(cands, hb)
-			seen[pWorker] = true
+			seen[id] = true
 		}
 	}
-	affine := ""
-	if wid, ok := c.aff.Get(j.key); ok {
-		affine = wid // may coincide with pWorker; affinityHit still counts
-		if hb, live := c.reg.Get(wid, now); live && !seen[wid] {
-			cands = append(cands, hb)
-			seen[wid] = true
-		}
+	if pWorker != "" {
+		add(pWorker)
+	}
+	affine, _ := c.aff.Get(j.key) // may coincide with pWorker; affinityHit still counts
+	if affine != "" {
+		add(affine)
 	}
 	for _, hb := range Rank(j.key, live) {
 		if !seen[hb.ID] {
@@ -945,6 +938,9 @@ func (c *Coordinator) assign(j *fleetJob) bool {
 	sort.SliceStable(cands, func(a, b int) bool {
 		return !c.brk.Suspect(cands[a].ID) && c.brk.Suspect(cands[b].ID)
 	})
+	if first != nil {
+		cands = append([]Heartbeat{*first}, cands...)
+	}
 	for _, hb := range cands {
 		rv, busy, err := c.postJob(hb, dispatchSpec(j, hb.ID, pWorker, pRemote))
 		if err != nil {
@@ -966,23 +962,30 @@ func (c *Coordinator) assign(j *fleetJob) bool {
 				"job", j.id, "worker", hb.ID, "remote", rv.ID)
 			return true
 		}
-		j.worker, j.workerURL, j.remoteID, j.dataDir = hb.ID, hb.URL, rv.ID, hb.DataDir
+		c.commitLocked(journalRecord{
+			Kind: recAssigned, Job: j.id, Worker: hb.ID, WorkerURL: hb.URL,
+			RemoteID: rv.ID, DataDir: hb.DataDir, State: string(rv.State),
+		})
 		c.updateFromWorkerLocked(j, rv)
-		if hb.ID == affine {
+		// A steal that lands on its target counts as a steal only.
+		stolen := first != nil && hb.ID == first.ID
+		hit := hb.ID == affine && !stolen
+		if hit {
 			j.affinityHit = true
 		}
-		c.journalAppend(journalRecord{
-			Kind: recAssigned, Job: j.id, Worker: hb.ID, WorkerURL: hb.URL,
-			RemoteID: rv.ID, DataDir: hb.DataDir, State: j.state,
-		})
+		reroutes := j.reroutes
 		c.mu.Unlock()
-		if hb.ID == affine {
+		c.aff.Set(j.key, hb.ID)
+		if hit {
 			c.tel.AffinityHits.Inc()
 		}
-		c.aff.Set(j.key, hb.ID)
-		c.tel.JobsAssigned.Inc()
+		if stolen {
+			c.tel.JobsStolen.Inc()
+		} else {
+			c.tel.JobsAssigned.Inc()
+		}
 		c.log.Info("job assigned", "job", j.id, "tenant", j.tenant, "worker", hb.ID,
-			"remote", rv.ID, "affinity", hb.ID == affine, "reroutes", j.reroutes)
+			"remote", rv.ID, "affinity", hit, "stolen", stolen, "reroutes", reroutes)
 		return true
 	}
 	return false
@@ -1024,48 +1027,53 @@ func (c *Coordinator) DeregisterWorker(id string) bool {
 
 // rerouteOffWorkers moves every unfinished job off the given (gone) workers.
 func (c *Coordinator) rerouteOffWorkers(byID map[string]Heartbeat) {
-	var orphans []*fleetJob
+	c.reroute("worker gone", func(j *fleetJob) (string, bool) {
+		hb, gone := byID[j.worker]
+		return hb.DataDir, gone
+	})
+}
+
+// reroute moves every placed, unfinished job that pick selects off its
+// worker: it commits the cleared binding (with a resume pointer into the
+// checkpoints under the store root pick returns, if any), then counts, logs
+// and re-homes the job. pick sees each placed job under c.mu.
+func (c *Coordinator) reroute(reason string, pick func(j *fleetJob) (dataDir string, move bool)) {
+	var moved []*fleetJob
 	c.mu.Lock()
 	for _, j := range c.order {
 		if j.terminal || j.worker == "" {
 			continue
 		}
-		hb, isDead := byID[j.worker]
-		if !isDead {
-			continue
+		if dataDir, move := pick(j); move {
+			rec := journalRecord{Kind: recRerouted, Job: j.id}
+			if dataDir != "" && j.remoteID != "" {
+				rec.ResumeDir = filepath.Join(dataDir, "jobs", j.remoteID, "checkpoints")
+			}
+			c.commitLocked(rec)
+			c.aff.Drop(j.key) // its checkpoints stay behind on the old worker
+			c.log.Warn("rerouting job", "job", j.id, "reason", reason, "resume", j.spec.Resume != nil)
+			moved = append(moved, j)
 		}
-		if hb.DataDir != "" && j.remoteID != "" {
-			dir := filepath.Join(hb.DataDir, "jobs", j.remoteID, "checkpoints")
-			j.spec.Resume = &service.ResumeSpec{Dir: dir}
-		}
-		c.aff.Drop(j.key)
-		j.worker, j.workerURL, j.remoteID, j.dataDir = "", "", "", ""
-		j.state = "pending"
-		j.reroutes++
-		j.recovered = false
-		c.journalAppend(rerouteRecord(j))
-		orphans = append(orphans, j)
 	}
 	c.mu.Unlock()
-	for _, j := range orphans {
+	for _, j := range moved {
 		c.tel.JobsRerouted.Inc()
-		c.log.Info("rerouting job off dead worker", "job", j.id, "resume", j.spec.Resume != nil)
-		if !c.assign(j) {
-			c.enqueuePending(j)
-		}
+		c.rehome(j, nil)
 	}
 }
 
-// enqueuePending parks an unassignable job in the pending queue (dropping
-// it with a released quota slot only if the queue is full).
-func (c *Coordinator) enqueuePending(j *fleetJob) {
+// rehome re-dispatches a job whose binding was just cleared (first, a
+// steal's target, tried ahead of the usual order) and parks it in the
+// pending queue when nobody takes it — failing it, with its quota slot
+// released, only if the queue is full.
+func (c *Coordinator) rehome(j *fleetJob, first *Heartbeat) {
+	if c.assign(j, first) {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.pending) >= c.cfg.PendingLimit {
-		j.terminal = true
-		j.state = "failed"
-		c.releaseLocked(j)
-		c.journalAppend(journalRecord{Kind: recTerminal, Job: j.id, State: j.state})
+		c.finishLocked(j, "failed")
 		c.log.Warn("pending queue full, dropping job", "job", j.id)
 		return
 	}
@@ -1090,33 +1098,17 @@ func (c *Coordinator) syncWorkers() {
 		for _, v := range views {
 			byID[v.ID] = v
 		}
-		var lost []*fleetJob
-		c.mu.Lock()
-		for _, j := range c.order {
-			if j.terminal || j.worker != hb.ID {
-				continue
+		c.reroute("worker forgot job", func(j *fleetJob) (string, bool) {
+			if j.worker != hb.ID {
+				return "", false
 			}
-			v, ok := byID[j.remoteID]
-			if !ok {
-				j.worker, j.workerURL, j.remoteID, j.dataDir = "", "", "", ""
-				j.state = "pending"
-				j.reroutes++
+			v, known := byID[j.remoteID]
+			if known {
 				j.recovered = false
-				c.journalAppend(rerouteRecord(j))
-				lost = append(lost, j)
-				continue
+				c.updateFromWorkerLocked(j, v)
 			}
-			j.recovered = false
-			c.updateFromWorkerLocked(j, v)
-		}
-		c.mu.Unlock()
-		for _, j := range lost {
-			c.tel.JobsRerouted.Inc()
-			c.log.Warn("worker forgot job, rerouting", "job", j.id, "worker", hb.ID)
-			if !c.assign(j) {
-				c.enqueuePending(j)
-			}
-		}
+			return "", !known
+		})
 	}
 }
 
@@ -1139,7 +1131,7 @@ func (c *Coordinator) dispatchPending() {
 		if cancelled {
 			continue
 		}
-		if !c.assign(j) {
+		if !c.assign(j, nil) {
 			still = append(still, j)
 		}
 	}
@@ -1150,10 +1142,8 @@ func (c *Coordinator) dispatchPending() {
 
 // stealOnce moves queued work from hot workers onto idle ones: for every
 // idle worker (free run slots, empty queue) it picks the highest-priority,
-// oldest fleet job queued on a busy worker, cancels it there with the
-// steal-safe ?if=queued cancel (never touching a running placement), and
-// resubmits it to the idle worker. Stale heartbeat stats are harmless: the
-// worker-side conditional cancel arbitrates races.
+// oldest fleet job queued on a busy worker and steals it. Stale heartbeat
+// stats are harmless: the worker-side conditional cancel arbitrates races.
 func (c *Coordinator) stealOnce(now time.Time) {
 	live := c.reg.Live(now)
 	var idle []Heartbeat
@@ -1180,59 +1170,53 @@ func (c *Coordinator) stealOnce(now time.Time) {
 	}
 	c.mu.Unlock()
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].class < cands[b].class })
-	for _, target := range idle {
-		if len(cands) == 0 {
+	for i, target := range idle {
+		if i == len(cands) {
 			return
 		}
-		j := cands[0]
-		cands = cands[1:]
-		if !c.stealTo(j, target) {
-			continue
-		}
+		c.steal(cands[i], target)
 	}
 }
 
-// stealTo moves one queued job onto the target worker. Returns false when
-// the steal was abandoned (the job started running, finished, or vanished
-// in the meantime — all safe outcomes).
-func (c *Coordinator) stealTo(j *fleetJob, target Heartbeat) bool {
+// steal moves one queued job onto target. The source's steal-safe
+// conditional cancel (?if=queued, which never touches a running placement)
+// goes first; when it refuses, the job started, finished or vanished
+// meanwhile and the steal is abandoned — all safe outcomes. A cancel that
+// lands while it is in flight ends the job in the coordinator (see
+// stealing). Once the source has dropped its copy the job runs nowhere: the
+// steal is committed as a cleared binding and the job re-dispatches through
+// assign with target tried first, so a cancel that lands during that POST
+// revokes the target's copy.
+func (c *Coordinator) steal(j *fleetJob, target Heartbeat) {
 	c.mu.Lock()
-	url, remote := j.workerURL, j.remoteID
-	c.mu.Unlock()
-	if ok, err := c.cancelQueuedRemote(url, remote); err != nil {
-		c.tel.ProxyErrors.Inc()
-		return false
-	} else if !ok {
-		return false // already running or gone; leave it be
+	if j.terminal || j.worker == "" {
+		c.mu.Unlock()
+		return // finished or moved since it was picked
 	}
-	// The source accepted the conditional cancel: the job now runs nowhere
-	// and must be re-homed (the target, or anyone, or the pending queue).
-	c.mu.Lock()
-	j.worker, j.workerURL, j.remoteID, j.dataDir = "", "", "", ""
-	j.state = "pending"
-	c.journalAppend(rerouteRecord(j))
+	worker, url, remote := j.worker, j.workerURL, j.remoteID
+	j.stealing = true
 	c.mu.Unlock()
-	pWorker, pRemote := c.parentPlacement(j)
-	rv, _, err := c.postJob(target, dispatchSpec(j, target.ID, pWorker, pRemote))
+	ok, err := c.cancelQueuedRemote(url, remote)
 	if err != nil {
-		if !c.assign(j) {
-			c.enqueuePending(j)
-		}
-		return true
+		c.tel.ProxyErrors.Inc()
 	}
 	c.mu.Lock()
-	j.worker, j.workerURL, j.remoteID, j.dataDir = target.ID, target.URL, rv.ID, target.DataDir
-	c.updateFromWorkerLocked(j, rv)
-	j.steals++
-	c.journalAppend(journalRecord{
-		Kind: recAssigned, Job: j.id, Worker: target.ID, WorkerURL: target.URL,
-		RemoteID: rv.ID, DataDir: target.DataDir, State: j.state,
-	})
+	j.stealing = false
+	cancelled := j.terminal
+	take := ok && !cancelled && j.worker == worker && j.remoteID == remote
+	if take {
+		c.commitLocked(journalRecord{Kind: recRerouted, Job: j.id, Steal: true})
+	}
 	c.mu.Unlock()
-	c.aff.Set(j.key, target.ID)
-	c.tel.JobsStolen.Inc()
-	c.log.Info("job stolen onto idle worker", "job", j.id, "worker", target.ID, "remote", rv.ID)
-	return true
+	switch {
+	case take:
+		c.rehome(j, &target)
+	case cancelled && !ok:
+		// Cancelled mid-steal while the source kept its copy: revoke it.
+		if _, err := c.cancelRemote(url, remote); err != nil {
+			c.tel.ProxyErrors.Inc()
+		}
+	}
 }
 
 // --- worker HTTP calls -------------------------------------------------
@@ -1244,12 +1228,14 @@ func (c *Coordinator) stealTo(j *fleetJob, target Heartbeat) bool {
 func (c *Coordinator) postJob(hb Heartbeat, spec service.JobSpec) (service.JobView, bool, error) {
 	var backoff *retry.Backoff
 	for attempt := 0; ; attempt++ {
-		v, busy, err := c.postJobOnce(hb, spec)
+		var v service.JobView
+		err := c.workerCall(http.MethodPost, hb.URL+"/jobs", spec, http.StatusAccepted, &v)
 		if err == nil {
 			c.brk.Success(hb.ID)
 			return v, false, nil
 		}
-		if busy {
+		err = fmt.Errorf("fleet: dispatch to worker %s: %w", hb.ID, err)
+		if hasStatus(err, http.StatusTooManyRequests, http.StatusServiceUnavailable) {
 			return v, true, err // pushback is load, not sickness
 		}
 		wasSuspect := c.brk.Suspect(hb.ID)
@@ -1266,103 +1252,75 @@ func (c *Coordinator) postJob(hb Heartbeat, spec service.JobSpec) (service.JobVi
 	}
 }
 
-// postJobOnce is one dispatch attempt.
-func (c *Coordinator) postJobOnce(hb Heartbeat, spec service.JobSpec) (service.JobView, bool, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return service.JobView{}, false, err
-	}
-	resp, err := c.client.Post(hb.URL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return service.JobView{}, false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusAccepted:
-		var v service.JobView
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-			return service.JobView{}, false, err
-		}
-		return v, false, nil
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		return service.JobView{}, true, fmt.Errorf("fleet: worker %s busy (%d)", hb.ID, resp.StatusCode)
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return service.JobView{}, false, fmt.Errorf("fleet: worker %s rejected job: %w",
-			hb.ID, &retry.StatusError{Code: resp.StatusCode, Msg: string(msg)})
-	}
-}
-
 // getRemote fetches one worker job view.
-func (c *Coordinator) getRemote(base, id string) (service.JobView, error) {
-	resp, err := c.client.Get(base + "/jobs/" + id)
-	if err != nil {
-		return service.JobView{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return service.JobView{}, fmt.Errorf("fleet: worker status %d", resp.StatusCode)
-	}
-	var v service.JobView
-	err = json.NewDecoder(resp.Body).Decode(&v)
+func (c *Coordinator) getRemote(base, id string) (v service.JobView, err error) {
+	err = c.workerCall(http.MethodGet, base+"/jobs/"+id, nil, http.StatusOK, &v)
 	return v, err
 }
 
 // listRemote fetches a worker's whole job table.
 func (c *Coordinator) listRemote(base string) ([]service.JobView, error) {
-	resp, err := c.client.Get(base + "/jobs")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: worker list status %d", resp.StatusCode)
-	}
 	var out struct {
 		Jobs []service.JobView `json:"jobs"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&out)
+	err := c.workerCall(http.MethodGet, base+"/jobs", nil, http.StatusOK, &out)
 	return out.Jobs, err
 }
 
 // cancelRemote cancels a worker job unconditionally.
-func (c *Coordinator) cancelRemote(base, id string) (service.JobView, error) {
-	req, err := http.NewRequest(http.MethodDelete, base+"/jobs/"+id, nil)
-	if err != nil {
-		return service.JobView{}, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return service.JobView{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return service.JobView{}, fmt.Errorf("fleet: worker cancel status %d", resp.StatusCode)
-	}
-	var v service.JobView
-	err = json.NewDecoder(resp.Body).Decode(&v)
+func (c *Coordinator) cancelRemote(base, id string) (v service.JobView, err error) {
+	err = c.workerCall(http.MethodDelete, base+"/jobs/"+id, nil, http.StatusOK, &v)
 	return v, err
 }
 
 // cancelQueuedRemote is the steal-safe conditional cancel: true only when
-// the worker confirmed the job was still queued and is now cancelled.
+// the worker confirmed the job was still queued and is now cancelled; a 409
+// (it started) or 404 (it is gone) is a refusal, not an error.
 func (c *Coordinator) cancelQueuedRemote(base, id string) (bool, error) {
-	req, err := http.NewRequest(http.MethodDelete, base+"/jobs/"+id+"?if=queued", nil)
+	err := c.workerCall(http.MethodDelete, base+"/jobs/"+id+"?if=queued", nil, http.StatusOK, nil)
+	if hasStatus(err, http.StatusConflict, http.StatusNotFound) {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// workerCall is the coordinator's one worker request: in (when non-nil) is
+// sent as the JSON body, a reply with the want status decodes into out (when
+// non-nil), and any other status comes back as a *retry.StatusError.
+func (c *Coordinator) workerCall(method, url string, in any, want int, out any) error {
+	var body io.Reader
+	if in != nil {
+		buf, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(buf)
+	}
+	req, err := http.NewRequest(method, url, body)
 	if err != nil {
-		return false, err
+		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return false, err
+		return err
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusConflict, http.StatusNotFound:
-		return false, nil
+	if resp.StatusCode != want {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return &retry.StatusError{Code: resp.StatusCode, Msg: string(msg)}
 	}
-	return false, fmt.Errorf("fleet: conditional cancel status %d", resp.StatusCode)
+	if out == nil {
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for connection reuse
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// hasStatus reports whether err carries a worker reply with one of codes.
+func hasStatus(err error, codes ...int) bool {
+	var se *retry.StatusError
+	return errors.As(err, &se) && slices.Contains(codes, se.Code)
 }

@@ -43,7 +43,7 @@ var errJournalBroken = errors.New("fleet: journal broken (reopen after compactio
 const (
 	recAccepted = "accepted" // job admitted: spec, tenant, idempotency key
 	recAssigned = "assigned" // job placed on a worker (also after a steal)
-	recRerouted = "rerouted" // assignment cleared; optional resume pointer
+	recRerouted = "rerouted" // assignment cleared (a reroute, or a steal); optional resume pointer
 	recTerminal = "terminal" // job reached done/failed/cancelled
 	recMeta     = "meta"     // compaction header: sequence floor
 )
@@ -66,6 +66,10 @@ type journalRecord struct {
 	ResumeDir string           `json:"resume_dir,omitempty"`
 	State     string           `json:"state,omitempty"`
 	Seq       int64            `json:"seq,omitempty"`
+	// Steal marks a rerouted record that took the job off a hot worker's
+	// queue: it counts as a steal, not a reroute. Journals written before
+	// the mark existed read every such record as a reroute.
+	Steal bool `json:"steal,omitempty"`
 }
 
 // Journal is the append-only, CRC-checked transition log backing coordinator

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -491,6 +492,418 @@ func TestCancelVsDispatchRace(t *testing.T) {
 	}
 	if got := fw.posts.Load(); got != 1 {
 		t.Fatalf("worker saw %d dispatches, want exactly 1", got)
+	}
+}
+
+// stubWorker is a scripted worker API over a job table the test drives:
+// POST /jobs queues a job (429 while busy), GET lists or fetches one, and
+// DELETE cancels a live job (with ?if=queued, only a queued one). park
+// makes one method's fetch or cancel hold its reply.
+type stubWorker struct {
+	id, dataDir     string
+	srv             *httptest.Server
+	mu              sync.Mutex
+	ids             []string
+	states          map[string]service.State
+	busy            bool
+	parkOn          string // method whose replies park ("" = none)
+	parked, release chan struct{}
+}
+
+func newStubWorker(t *testing.T, id, dataDir string) *stubWorker {
+	t.Helper()
+	sw := &stubWorker{id: id, dataDir: dataDir, states: make(map[string]service.State)}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+		sw.mu.Lock()
+		defer sw.mu.Unlock()
+		if sw.busy {
+			service.WriteError(w, http.StatusTooManyRequests, "queue full")
+			return
+		}
+		v := service.JobView{ID: fmt.Sprintf("%s-%d", sw.id, len(sw.ids)+1), State: service.StateQueued}
+		sw.ids = append(sw.ids, v.ID)
+		sw.states[v.ID] = v.State
+		service.WriteJSON(w, http.StatusAccepted, v)
+	})
+	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
+		sw.mu.Lock()
+		defer sw.mu.Unlock()
+		views := []service.JobView{}
+		for _, id := range sw.ids {
+			views = append(views, service.JobView{ID: id, State: sw.states[id]})
+		}
+		service.WriteJSON(w, http.StatusOK, map[string]any{"jobs": views})
+	})
+	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		sw.mu.Lock()
+		v := service.JobView{ID: id, State: sw.states[id]}
+		sw.mu.Unlock()
+		sw.hold(r.Method)
+		service.WriteJSON(w, http.StatusOK, v)
+	})
+	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		id, conditional := r.PathValue("id"), r.URL.Query().Get("if") == "queued"
+		sw.mu.Lock()
+		st, ok := sw.states[id]
+		refused := st.Terminal() || (conditional && st != service.StateQueued)
+		if ok && !refused {
+			sw.states[id] = service.StateCancelled
+		}
+		sw.mu.Unlock()
+		switch {
+		case !ok:
+			service.WriteError(w, http.StatusNotFound, "unknown job")
+		case refused:
+			service.WriteError(w, http.StatusConflict, "job is "+string(st))
+		default:
+			sw.hold(r.Method)
+			service.WriteJSON(w, http.StatusOK, service.JobView{ID: id, State: service.StateCancelled})
+		}
+	})
+	sw.srv = httptest.NewServer(mux)
+	t.Cleanup(sw.srv.Close)
+	return sw
+}
+
+// heartbeat reports one run slot with the given load.
+func (sw *stubWorker) heartbeat(running, queued int) Heartbeat {
+	return Heartbeat{ID: sw.id, URL: sw.srv.URL, DataDir: sw.dataDir, Stats: service.ManagerStats{
+		PlaceWorkers: 1, QueueCap: 8, Running: running, QueueDepth: queued,
+	}}
+}
+
+// park makes every later fetch or successful cancel by method signal on
+// the returned parked channel and hold its reply until release is sent.
+// Cleanup releases every holder, so a failing test does not hang closing
+// the server.
+func (sw *stubWorker) park(t *testing.T, method string) (parked, release chan struct{}) {
+	parked, release = make(chan struct{}, 1), make(chan struct{}, 1)
+	sw.mu.Lock()
+	sw.parkOn, sw.parked, sw.release = method, parked, release
+	sw.mu.Unlock()
+	t.Cleanup(func() { close(release) })
+	return parked, release
+}
+
+func (sw *stubWorker) hold(method string) {
+	sw.mu.Lock()
+	parked, release := sw.parked, sw.release
+	hold := sw.parkOn == method
+	sw.mu.Unlock()
+	if hold {
+		select {
+		case parked <- struct{}{}:
+		default: // an earlier arrival is still unread
+		}
+		<-release
+	}
+}
+
+func (sw *stubWorker) set(id string, st service.State) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	sw.states[id] = st
+}
+
+// TestCancelVsStealRace: a cancel that lands while a steal's POST to the
+// idle target is in flight must not leave the job running there. The steal
+// re-dispatches through assign, which sees the job went terminal during the
+// POST and revokes the target's copy, so the job ends cancelled.
+func TestCancelVsStealRace(t *testing.T) {
+	clock := newFakeClock()
+	c := newTestCoordinator(t, clock, nil)
+	src := newStubWorker(t, "src", "")
+	if err := c.RecordHeartbeat(src.heartbeat(0, 0), clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := c.Submit(slowSpec(1), "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Worker != "src" {
+		t.Fatalf("job on %q, want src", v.Worker)
+	}
+
+	// The source reports a queue and an idle target joins: the next tick
+	// steals the job, and the target's POST parks.
+	dst := newFakeWorker(t, "dst-1")
+	for _, hb := range []Heartbeat{src.heartbeat(1, 1), dst.heartbeat()} {
+		if err := c.RecordHeartbeat(hb, clock.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ticked := make(chan struct{})
+	go func() {
+		defer close(ticked)
+		c.Tick(clock.Now())
+	}()
+	select {
+	case <-dst.posted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the steal never re-posted the job to the idle worker")
+	}
+	if _, err := c.Cancel(v.ID); err != nil {
+		t.Fatal(err)
+	}
+	dst.release <- struct{}{}
+	<-ticked
+
+	got, err := c.Get(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := dst.cancels.Load(); n != 1 || got.State != "cancelled" {
+		t.Fatalf("raced steal: state=%s worker=%s steals=%d, %d cancels on the target; want cancelled and the target's copy revoked",
+			got.State, got.Worker, got.Steals, n)
+	}
+}
+
+// TestStealWindowRaces: once a steal's conditional cancel has landed, the
+// source reports the job cancelled until the steal clears the binding. A
+// Get polled in that window must not take the source's answer as the job's
+// end, and a Cancel in that window must win over the steal.
+func TestStealWindowRaces(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		cancel     bool
+	}{
+		{name: "get", want: string(service.StateQueued)},
+		{name: "cancel", want: "cancelled", cancel: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := newFakeClock()
+			c := newTestCoordinator(t, clock, nil)
+			src, dst := newStubWorker(t, "src", ""), newStubWorker(t, "dst", "")
+			if err := c.RecordHeartbeat(src.heartbeat(0, 0), clock.Now()); err != nil {
+				t.Fatal(err)
+			}
+			v, _, err := c.Submit(slowSpec(1), "t1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			parked, release := src.park(t, http.MethodDelete)
+			for _, hb := range []Heartbeat{src.heartbeat(1, 1), dst.heartbeat(0, 0)} {
+				if err := c.RecordHeartbeat(hb, clock.Now()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ticked := make(chan struct{})
+			go func() {
+				defer close(ticked)
+				c.Tick(clock.Now())
+			}()
+			select {
+			case <-parked:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the steal never cancelled the source's copy")
+			}
+			if tc.cancel {
+				_, err = c.Cancel(v.ID)
+			} else {
+				_, err = c.Get(v.ID)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			release <- struct{}{}
+			<-ticked
+
+			got, err := c.Get(v.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.mu.Lock()
+			terminal := c.jobs[v.ID].terminal
+			c.mu.Unlock()
+			dst.mu.Lock()
+			posted := len(dst.ids)
+			dst.mu.Unlock()
+			// Cancelled: finished, and never posted to the target. Polled:
+			// still live, and stolen onto the target.
+			if got.State != tc.want || terminal != tc.cancel || (posted == 0) != tc.cancel {
+				t.Fatalf("job state=%s terminal=%v worker=%q steals=%d, %d posts to the target; want %s",
+					got.State, terminal, got.Worker, got.Steals, posted, tc.want)
+			}
+		})
+	}
+}
+
+// TestMovedJobIgnoresStaleAnswers: a job that reroutes while a worker call
+// about it is in flight on its old worker takes nothing from that worker's
+// answer, which describes a copy the job no longer has. A Get leaves the
+// job live on its new worker; a Cancel follows it there.
+func TestMovedJobIgnoresStaleAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		name, method string
+		old          service.State // the old worker's copy: a Get reports it, a Cancel needs it live
+		want         service.State // the job's state and its copy's on dst
+	}{
+		{name: "get", method: http.MethodGet, old: service.StateFailed, want: service.StateQueued},
+		{name: "cancel", method: http.MethodDelete, old: service.StateQueued, want: service.StateCancelled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := newFakeClock()
+			c := newTestCoordinator(t, clock, nil)
+			src, dst := newStubWorker(t, "src", ""), newStubWorker(t, "dst", "")
+			if err := c.RecordHeartbeat(src.heartbeat(0, 0), clock.Now()); err != nil {
+				t.Fatal(err)
+			}
+			v, _, err := c.Submit(slowSpec(1), "t1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.set("src-1", tc.old)
+			parked, release := src.park(t, tc.method)
+			if err := c.RecordHeartbeat(dst.heartbeat(0, 0), clock.Now()); err != nil {
+				t.Fatal(err)
+			}
+			called := make(chan struct{})
+			go func() {
+				defer close(called)
+				if tc.method == http.MethodGet {
+					c.Get(v.ID) //nolint:errcheck // outcome checked below
+				} else {
+					c.Cancel(v.ID) //nolint:errcheck
+				}
+			}()
+			select {
+			case <-parked:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the call never reached the job's worker")
+			}
+			// The worker drains away mid-call: its job reroutes onto dst.
+			if !c.DeregisterWorker("src") {
+				t.Fatal("src was not registered")
+			}
+			release <- struct{}{}
+			<-called
+
+			got := c.List()[0]
+			dst.mu.Lock()
+			copyState := dst.states["dst-1"]
+			dst.mu.Unlock()
+			if got.State != string(tc.want) || got.Worker != "dst" || copyState != tc.want {
+				t.Fatalf("job state=%s on %q, copy on dst %q; want %s on dst, copy %s",
+					got.State, got.Worker, copyState, tc.want, tc.want)
+			}
+		})
+	}
+}
+
+// journaledJob is the part of a job record the journal must reproduce.
+type journaledJob struct {
+	worker, remote, resume string
+	terminal               bool
+	state                  string // compared once terminal: live states come from polling
+	reroutes, steals       int
+}
+
+func journaledTable(c *Coordinator) map[string]journaledJob {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]journaledJob, len(c.jobs))
+	for id, j := range c.jobs {
+		row := journaledJob{worker: j.worker, remote: j.remoteID, terminal: j.terminal, reroutes: j.reroutes, steals: j.steals}
+		if j.terminal {
+			row.state = j.state
+		}
+		if j.spec.Resume != nil {
+			row.resume = j.spec.Resume.Dir
+		}
+		out[id] = row
+	}
+	return out
+}
+
+// TestJournalReplayMatchesLive: a coordinator booted on a copy of the live
+// journal holds the live job table — the binding, reroute and steal counts,
+// resume pointer and terminal state of every job — both when it replays the
+// appended history and when it replays the snapshot its own boot compaction
+// wrote. The live run covers submit and assign, a steal, a worker expiry
+// that reroutes with a resume pointer, a cancel while pending and a
+// finished job.
+func TestJournalReplayMatchesLive(t *testing.T) {
+	clock := newFakeClock()
+	dir := t.TempDir()
+	live := newJournalCoordinator(t, clock, filepath.Join(dir, "journal"))
+	defer live.Close()
+	heartbeat := func(hbs ...Heartbeat) {
+		t.Helper()
+		for _, hb := range hbs {
+			if err := live.RecordHeartbeat(hb, clock.Now()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	submit := func(seed int64) string {
+		t.Helper()
+		v, _, err := live.Submit(slowSpec(seed), "t1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.ID
+	}
+
+	// Submit and assign: wA runs the first job and queues the second.
+	wA, wB := newStubWorker(t, "wA", "/data/wA"), newStubWorker(t, "wB", "/data/wB")
+	heartbeat(wA.heartbeat(0, 0))
+	expired, stolen := submit(1), submit(2)
+	wA.set("wA-1", service.StateRunning)
+	// A steal: idle wB joins while wA reports its queue.
+	heartbeat(wA.heartbeat(1, 1), wB.heartbeat(0, 0))
+	live.Tick(clock.Now())
+	// A worker expiry: wA falls silent and its running job reroutes onto wB
+	// with a resume pointer into wA's store.
+	clock.Advance(1500 * time.Millisecond)
+	heartbeat(wB.heartbeat(1, 1))
+	live.Tick(clock.Now())
+	// A cancel while pending: wB pushes back, so a new job parks.
+	wB.mu.Lock()
+	wB.busy = true
+	wB.mu.Unlock()
+	cancelled := submit(3)
+	if _, err := live.Cancel(cancelled); err != nil {
+		t.Fatal(err)
+	}
+	// A finished job: the stolen job completes on wB.
+	wB.set("wB-1", service.StateDone)
+	live.Tick(clock.Now())
+
+	want := journaledTable(live)
+	for id, row := range map[string]journaledJob{
+		expired:   {worker: "wB", remote: "wB-2", resume: "/data/wA/jobs/wA-1/checkpoints", reroutes: 1},
+		stolen:    {worker: "wB", remote: "wB-1", terminal: true, state: "done", steals: 1},
+		cancelled: {terminal: true, state: "cancelled"},
+	} {
+		if want[id] != row {
+			t.Fatalf("live job %s = %+v, want %+v: the scenario did not run as scripted", id, want[id], row)
+		}
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayPath := filepath.Join(dir, "replay")
+	if err := os.WriteFile(replayPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The first boot replays the appended history and compacts the copy;
+	// the second replays that compaction.
+	for _, stage := range []string{"history", "compacted snapshot"} {
+		r := newJournalCoordinator(t, clock, replayPath)
+		got := journaledTable(r)
+		r.Close()
+		if len(got) != len(want) {
+			t.Errorf("%s replay: %d jobs, live %d", stage, len(got), len(want))
+		}
+		for id, row := range want {
+			if got[id] != row {
+				t.Errorf("%s replay: job %s = %+v, live %+v", stage, id, got[id], row)
+			}
+		}
 	}
 }
 

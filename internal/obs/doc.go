@@ -1,5 +1,5 @@
 // Package obs is the placer's observability layer: a zero-dependency
-// structured logger, a span tracer, and a convergence metrics registry,
+// structured logger, a span tracer, and a per-run metrics registry,
 // bundled into an Observer that threads through the whole stack (engine,
 // flow, service, CLIs).
 //
@@ -13,11 +13,12 @@
 //     Chrome trace_event JSON (chrome://tracing, Perfetto) or as a JSONL
 //     event stream; both round-trip through the matching Read functions.
 //
-//   - Metrics: convergence gauges (HPWL, overflow, lambda, smoothing
-//     parameter, BB step length), counters (iterations, evaluations,
-//     checkpoint writes, named extras), and cumulative per-phase seconds,
-//     with optional sinks that forward per-iteration and per-phase
-//     durations to an external collector (e.g. Prometheus histograms).
+//   - Metrics: an evaluation counter, named counters (model-specific
+//     extras), and cumulative per-phase seconds, with optional sinks that
+//     forward per-iteration and per-phase durations to an external
+//     collector (e.g. Prometheus histograms). Convergence samples live in
+//     the placer's TrajectoryPoint, iteration and checkpoint counts in its
+//     Result.
 //
 // The hot path is engineered for a true no-op fast path: with a nil
 // Observer (or one with neither Tracer nor Metrics) StartPhase returns a

@@ -13,25 +13,10 @@ func TestMetricsCountersAndGauges(t *testing.T) {
 	m.EvalDone()
 	m.EvalDone()
 	m.EvalDone()
-	m.CheckpointDone()
-	m.Record(Point{Iter: 41, HPWL: 123.5, Overflow: 0.25, Lambda: 2e-4, Param: 0.8, Step: 1.5})
 
 	s := m.Snapshot()
-	if s.Iterations != 2 || s.Evaluations != 3 || s.Checkpoints != 1 {
-		t.Errorf("counters = %d/%d/%d, want 2/3/1", s.Iterations, s.Evaluations, s.Checkpoints)
-	}
-	if s.Iter != 41 || s.HPWL != 123.5 || s.Overflow != 0.25 || s.Lambda != 2e-4 || s.Param != 0.8 || s.Step != 1.5 {
-		t.Errorf("gauges = %+v", s)
-	}
-
-	// HPWL <= 0 means "not measured": the gauge keeps its last value.
-	m.Record(Point{Iter: 42, HPWL: 0, Overflow: 0.2})
-	s = m.Snapshot()
-	if s.HPWL != 123.5 {
-		t.Errorf("HPWL gauge overwritten by unmeasured sample: %v", s.HPWL)
-	}
-	if s.Iter != 42 || s.Overflow != 0.2 {
-		t.Errorf("other gauges not updated: %+v", s)
+	if s.Evaluations != 3 {
+		t.Errorf("evaluations = %d, want 3", s.Evaluations)
 	}
 }
 
@@ -93,10 +78,8 @@ func TestNilMetricsIsSafe(t *testing.T) {
 	var m *Metrics
 	m.IterationDone(time.Second)
 	m.EvalDone()
-	m.CheckpointDone()
-	m.Record(Point{Iter: 1})
 	m.Count("x", 1)
-	if s := m.Snapshot(); s.Iterations != 0 {
+	if s := m.Snapshot(); s.Evaluations != 0 || s.Counters != nil {
 		t.Errorf("nil snapshot = %+v", s)
 	}
 }
@@ -112,7 +95,6 @@ func TestMetricsConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				m.IterationDone(time.Microsecond)
 				m.EvalDone()
-				m.Record(Point{Iter: i, HPWL: float64(i + 1), Overflow: 0.1})
 				m.observePhase(PhaseStep, time.Microsecond)
 				m.Count("c", 1)
 				if i%50 == 0 {
@@ -123,7 +105,7 @@ func TestMetricsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	s := m.Snapshot()
-	if s.Iterations != 1600 || s.Evaluations != 1600 || s.Counters["c"] != 1600 || s.PhaseCalls[PhaseStep] != 1600 {
+	if s.Evaluations != 1600 || s.Counters["c"] != 1600 || s.PhaseCalls[PhaseStep] != 1600 {
 		t.Errorf("concurrent totals wrong: %+v", s)
 	}
 }

