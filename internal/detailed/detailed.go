@@ -58,14 +58,52 @@ type rowState struct {
 	items  []entry // sorted by x
 }
 
+// maxWindow caps the reordering window: a window of n cells tries n!
+// permutations.
+const maxWindow = 5
+
 type state struct {
-	d       *netlist.Design
-	rows    []rowState
-	rowOf   map[int32]int // cell -> row index
-	slotOf  map[int32]int // cell -> index into rows[rowOf].items (maintained per pass)
-	nets    []int32       // scratch: affected nets
-	overpos map[int32][2]float64
+	d    *netlist.Design
+	rows []rowState
+	// rowOf and slotOf place each standard cell: its row index and its index
+	// into that row's items. Both are -1 for macros, fixed cells and pads.
+	rowOf, slotOf []int32
+	// hpwlDelta's scratch: the nets a candidate touches, deduped by netMark,
+	// and the moved cells' trial positions, read where moved marks the cell.
+	nets       []int32
+	netMark    marks
+	moved      marks
+	movX, movY []float64
+	// optimalPoint's scratch.
+	xs, ys []float64
+	// perms[n] is the permutation table of an n-cell reorder window, built
+	// on first use.
+	perms [maxWindow + 1][][]int
 }
+
+// marks is a set of small non-negative integers that empties in O(1): k is
+// in the set while stamp[k] == epoch. next moves to a fresh epoch; only when
+// the epoch counter wraps are the stamps cleared, so a stamp left 2^32
+// epochs ago never reads as current. A new set is empty.
+type marks struct {
+	stamp []uint32
+	epoch uint32
+}
+
+func newMarks(n int) marks { return marks{stamp: make([]uint32, n), epoch: 1} }
+
+// next empties the set.
+func (m *marks) next() {
+	m.epoch++
+	if m.epoch == 0 {
+		clear(m.stamp)
+		m.epoch = 1
+	}
+}
+
+func (m *marks) has(k int32) bool { return m.stamp[k] == m.epoch }
+
+func (m *marks) add(k int32) { m.stamp[k] = m.epoch }
 
 // Place runs detailed placement on a legal design, preserving legality.
 func Place(d *netlist.Design, opt Options) (*Result, error) {
@@ -75,8 +113,8 @@ func Place(d *netlist.Design, opt Options) (*Result, error) {
 	if opt.WindowSize <= 0 {
 		opt.WindowSize = 3
 	}
-	if opt.WindowSize > 5 {
-		opt.WindowSize = 5
+	if opt.WindowSize > maxWindow {
+		opt.WindowSize = maxWindow
 	}
 	if opt.SearchRows <= 0 {
 		opt.SearchRows = 3
@@ -112,11 +150,18 @@ func buildState(d *netlist.Design) (*state, error) {
 	}
 	rows := append([]netlist.Row(nil), d.Rows...)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Y < rows[j].Y })
+	n := len(d.Cells)
 	st := &state{
 		d:       d,
-		rowOf:   make(map[int32]int),
-		slotOf:  make(map[int32]int),
-		overpos: make(map[int32][2]float64, 4),
+		rowOf:   make([]int32, n),
+		slotOf:  make([]int32, n),
+		netMark: newMarks(len(d.Nets)),
+		moved:   newMarks(n),
+		movX:    make([]float64, n),
+		movY:    make([]float64, n),
+	}
+	for c := range st.rowOf {
+		st.rowOf[c], st.slotOf[c] = -1, -1
 	}
 	st.rows = make([]rowState, len(rows))
 	rowIdx := make(map[float64]int, len(rows))
@@ -159,7 +204,7 @@ func buildState(d *netlist.Design) (*state, error) {
 			return nil, fmt.Errorf("detailed: cell %d not on a row (y=%g); legalize first", c, d.Y[c])
 		}
 		st.rows[ri].items = append(st.rows[ri].items, entry{x: d.X[c], w: d.Cells[c].W, cell: int32(c)})
-		st.rowOf[int32(c)] = ri
+		st.rowOf[c] = int32(ri)
 	}
 	for ri := range st.rows {
 		items := st.rows[ri].items
@@ -181,7 +226,7 @@ func buildState(d *netlist.Design) (*state, error) {
 		items = merged
 		for si, e := range items {
 			if e.cell >= 0 {
-				st.slotOf[e.cell] = si
+				st.slotOf[e.cell] = int32(si)
 			}
 		}
 		for si := 1; si < len(items); si++ {
@@ -193,51 +238,55 @@ func buildState(d *netlist.Design) (*state, error) {
 	return st, nil
 }
 
-// hpwlDelta returns the change in total HPWL if the cells in moves were
-// repositioned (negative is an improvement).
+// hpwlDelta returns the change in total HPWL if cells[i] moved to (newX[i],
+// newY[i]) (negative is an improvement). It visits each touched net once, in
+// the order the cells' pins first reach it, and allocates nothing.
 func (st *state) hpwlDelta(cells []int32, newX, newY []float64) float64 {
 	d := st.d
-	for k := range st.overpos {
-		delete(st.overpos, k)
-	}
-	st.nets = st.nets[:0]
-	seen := map[int32]bool{}
+	st.moved.next()
+	st.netMark.next()
+	nets := st.nets[:0]
 	for i, c := range cells {
-		st.overpos[c] = [2]float64{newX[i], newY[i]}
+		st.moved.add(c)
+		st.movX[c], st.movY[c] = newX[i], newY[i]
 		for _, pi := range d.PinsOfCell(int(c)) {
-			e := d.Pins[pi].Net
-			if !seen[e] {
-				seen[e] = true
-				st.nets = append(st.nets, e)
+			if e := d.Pins[pi].Net; !st.netMark.has(e) {
+				st.netMark.add(e)
+				nets = append(nets, e)
 			}
 		}
 	}
+	st.nets = nets
+	ln := d.PinLanes()
+	pc, pdx, pdy := ln.PinCell, ln.PinDx, ln.PinDy
+	X, Y, movX, movY := d.X, d.Y, st.movX, st.movY
 	delta := 0.0
-	for _, e := range st.nets {
-		pins := d.NetPins(int(e))
+	for _, e := range nets {
+		s0, s1 := d.NetStart[e], d.NetStart[e+1]
 		var oxl, oxh, oyl, oyh float64
 		var nxl, nxh, nyl, nyh float64
-		for i, p := range pins {
-			ox := d.X[p.Cell] + p.Dx
-			oy := d.Y[p.Cell] + p.Dy
+		for i := s0; i < s1; i++ {
+			c := pc[i]
+			ox := X[c] + pdx[i]
+			oy := Y[c] + pdy[i]
 			nx, ny := ox, oy
-			if np, ok := st.overpos[p.Cell]; ok {
-				nx = np[0] + p.Dx
-				ny = np[1] + p.Dy
+			if st.moved.has(c) {
+				nx = movX[c] + pdx[i]
+				ny = movY[c] + pdy[i]
 			}
-			if i == 0 {
+			if i == s0 {
 				oxl, oxh, oyl, oyh = ox, ox, oy, oy
 				nxl, nxh, nyl, nyh = nx, nx, ny, ny
 				continue
 			}
-			oxl = math.Min(oxl, ox)
-			oxh = math.Max(oxh, ox)
-			oyl = math.Min(oyl, oy)
-			oyh = math.Max(oyh, oy)
-			nxl = math.Min(nxl, nx)
-			nxh = math.Max(nxh, nx)
-			nyl = math.Min(nyl, ny)
-			nyh = math.Max(nyh, ny)
+			oxl = min(oxl, ox)
+			oxh = max(oxh, ox)
+			oyl = min(oyl, oy)
+			oyh = max(oyh, oy)
+			nxl = min(nxl, nx)
+			nxh = max(nxh, nx)
+			nyl = min(nyl, ny)
+			nyh = max(nyh, ny)
 		}
 		w := d.Nets[e].Weight
 		delta += w * ((nxh - nxl + nyh - nyl) - (oxh - oxl + oyh - oyl))
@@ -249,7 +298,7 @@ func (st *state) hpwlDelta(cells []int32, newX, newY []float64) float64 {
 // the median of the other pins' coordinates across all its nets.
 func (st *state) optimalPoint(c int32) (float64, float64) {
 	d := st.d
-	var xs, ys []float64
+	xs, ys := st.xs[:0], st.ys[:0]
 	for _, pi := range d.PinsOfCell(int(c)) {
 		e := d.Pins[pi].Net
 		for _, p := range d.NetPins(int(e)) {
@@ -260,6 +309,7 @@ func (st *state) optimalPoint(c int32) (float64, float64) {
 			ys = append(ys, d.Y[p.Cell]+p.Dy)
 		}
 	}
+	st.xs, st.ys = xs, ys
 	if len(xs) == 0 {
 		return d.X[c], d.Y[c]
 	}

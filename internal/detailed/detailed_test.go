@@ -1,8 +1,10 @@
 package detailed
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/legalize"
@@ -155,23 +157,160 @@ func TestWindowSizeBounds(t *testing.T) {
 	}
 }
 
+// TestHpwlDeltaMatchesRecompute checks hpwlDelta against a full TotalHPWL
+// recompute for each kind of candidate the passes evaluate: one cell moved
+// in x, an equal-width swap of two cells on one net, reorder windows of 2 to
+// 5 cells that share a net, and a move to another row.
 func TestHpwlDeltaMatchesRecompute(t *testing.T) {
 	d := legalDesign(t, 150, 0, 10)
 	st, err := buildState(d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	check := func(name string, cells []int32, newX, newY []float64) {
+		t.Helper()
+		before := wirelength.TotalHPWL(d)
+		delta := st.hpwlDelta(cells, newX, newY)
+		oldX, oldY := append([]float64(nil), d.X...), append([]float64(nil), d.Y...)
+		for i, c := range cells {
+			d.X[c], d.Y[c] = newX[i], newY[i]
+		}
+		after := wirelength.TotalHPWL(d)
+		copy(d.X, oldX)
+		copy(d.Y, oldY)
+		if math.Abs((after-before)-delta) > 1e-9 {
+			t.Errorf("%s: hpwlDelta %g != recompute %g", name, delta, after-before)
+		}
+	}
+
 	mov := d.MovableIndices()
 	c := int32(mov[3])
-	before := wirelength.TotalHPWL(d)
-	newX, newY := d.X[c]+2.5, d.Y[c]
-	delta := st.hpwlDelta([]int32{c}, []float64{newX}, []float64{newY})
-	oldX := d.X[c]
-	d.X[c] = newX
-	after := wirelength.TotalHPWL(d)
-	d.X[c] = oldX
-	if diff := (after - before) - delta; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("hpwlDelta %g != recompute %g", delta, after-before)
+	check("shift", []int32{c}, []float64{d.X[c] + 2.5}, []float64{d.Y[c]})
+
+	// An equal-width swap of two cells on one net, in different rows.
+	swapped := false
+	for e := 0; e < d.NumNets() && !swapped; e++ {
+		pins := d.NetPins(e)
+		for a := 0; a < len(pins) && !swapped; a++ {
+			for b := a + 1; b < len(pins) && !swapped; b++ {
+				ca, cb := pins[a].Cell, pins[b].Cell
+				if ca == cb || st.rowOf[ca] < 0 || st.rowOf[cb] < 0 ||
+					st.rowOf[ca] == st.rowOf[cb] || d.Cells[ca].W != d.Cells[cb].W {
+					continue
+				}
+				check("swap", []int32{ca, cb}, []float64{d.X[cb], d.X[ca]}, []float64{d.Y[cb], d.Y[ca]})
+				swapped = true
+			}
+		}
+	}
+	if !swapped {
+		t.Fatal("no equal-width pair on a net across rows")
+	}
+
+	// Reorder windows: n consecutive cells of a row, two of them on one
+	// net, packed from the left edge in reverse order.
+	for n := 2; n <= maxWindow; n++ {
+		found := false
+		for ri := 0; ri < len(st.rows) && !found; ri++ {
+			items := st.rows[ri].items
+			for start := 0; start+n <= len(items) && !found; start++ {
+				win := make([]int32, n)
+				for j := range win {
+					win[j] = items[start+j].cell
+				}
+				if slices.Contains(win, -1) || !shareNet(d, win) {
+					continue
+				}
+				ordered := make([]int32, n)
+				xs, ys := make([]float64, n), make([]float64, n)
+				x := items[start].x
+				for j := range ordered {
+					ordered[j] = win[n-1-j]
+					xs[j], ys[j] = x, st.rows[ri].y
+					x += d.Cells[ordered[j]].W
+				}
+				check(fmt.Sprintf("reorder window %d", n), ordered, xs, ys)
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("no %d-cell window sharing a net", n)
+		}
+	}
+
+	// A move to another row.
+	other := &st.rows[(int(st.rowOf[c])+2)%len(st.rows)]
+	check("row change", []int32{c}, []float64{(other.xl + other.xh) / 2}, []float64{other.y})
+}
+
+// shareNet reports whether two of cells sit on one net.
+func shareNet(d *netlist.Design, cells []int32) bool {
+	seen := map[int32]int32{} // net -> first cell seen on it
+	for _, c := range cells {
+		for _, pi := range d.PinsOfCell(int(c)) {
+			e := d.Pins[pi].Net
+			if first, ok := seen[e]; ok && first != c {
+				return true
+			}
+			seen[e] = c
+		}
+	}
+	return false
+}
+
+// TestEvaluationAllocatesNothing: once a state is built, evaluating a
+// candidate move and running a whole reorder pass allocate nothing.
+func TestEvaluationAllocatesNothing(t *testing.T) {
+	d := legalDesign(t, 150, 0, 11)
+	st, err := buildState(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mov := d.MovableIndices()
+	cells := []int32{int32(mov[4]), int32(mov[9])}
+	xs := []float64{d.X[cells[1]], d.X[cells[0]]}
+	ys := []float64{d.Y[cells[1]], d.Y[cells[0]]}
+	if n := testing.AllocsPerRun(100, func() { st.hpwlDelta(cells, xs, ys) }); n != 0 {
+		t.Errorf("hpwlDelta: %v allocations per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { st.reorderPass(maxWindow) }); n != 0 {
+		t.Errorf("reorderPass: %v allocations per pass, want 0", n)
+	}
+}
+
+// TestHpwlDeltaEpochWrap: the epoch counter behind hpwlDelta's marks wraps
+// past math.MaxUint32 and revisits epochs whose stamps calls 2^32 epochs
+// earlier left behind. Every delta across the wrap must equal a fresh
+// state's, bit for bit.
+func TestHpwlDeltaEpochWrap(t *testing.T) {
+	d := legalDesign(t, 150, 0, 12)
+	st, err := buildState(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := buildState(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every cell and net carries a stamp of the first epochs after the
+	// wrap, as if the last 2^32 calls had touched them all.
+	for _, m := range []*marks{&st.netMark, &st.moved} {
+		for i := range m.stamp {
+			m.stamp[i] = uint32(1 + i%3)
+		}
+		m.epoch = math.MaxUint32 - 2
+	}
+	mov := d.MovableIndices()
+	for k := 0; k < 8; k++ {
+		a, b := int32(mov[k]), int32(mov[k+7])
+		cells, xs, ys := []int32{a, b}, []float64{d.X[b], d.X[a]}, []float64{d.Y[b], d.Y[a]}
+		got, want := st.hpwlDelta(cells, xs, ys), fresh.hpwlDelta(cells, xs, ys)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d (epoch %d): delta %g, fresh state %g", k, st.netMark.epoch, got, want)
+		}
+	}
+	if st.netMark.epoch != 6 || st.moved.epoch != 6 {
+		t.Fatalf("epochs %d and %d after 8 calls from MaxUint32-2, want 6", st.netMark.epoch, st.moved.epoch)
 	}
 }
 

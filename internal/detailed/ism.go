@@ -18,12 +18,11 @@ func (st *state) ismPass(batchSize int) int {
 	// Group movable std cells by width, ordered spatially so batches are
 	// local (swapping far-apart cells rarely helps and slows convergence).
 	byWidth := map[float64][]int32{}
-	for _, ci := range d.MovableIndices() {
-		c := int32(ci)
-		if _, ok := st.rowOf[c]; !ok {
+	for ci := range d.Cells {
+		if st.rowOf[ci] < 0 {
 			continue
 		}
-		byWidth[d.Cells[ci].W] = append(byWidth[d.Cells[ci].W], c)
+		byWidth[d.Cells[ci].W] = append(byWidth[d.Cells[ci].W], int32(ci))
 	}
 	widths := make([]float64, 0, len(byWidth))
 	for w := range byWidth {
@@ -32,6 +31,7 @@ func (st *state) ismPass(batchSize int) int {
 	sort.Float64s(widths)
 
 	improved := 0
+	nets := newMarks(len(d.Nets)) // the current batch's nets
 	for _, w := range widths {
 		cells := byWidth[w]
 		sort.Slice(cells, func(a, b int) bool {
@@ -43,20 +43,17 @@ func (st *state) ismPass(batchSize int) int {
 		})
 		// Greedy net-disjoint batching over the spatial order.
 		batch := make([]int32, 0, batchSize)
-		nets := map[int32]bool{}
 		flush := func() {
 			if len(batch) >= 2 && st.matchBatch(batch) {
 				improved++
 			}
 			batch = batch[:0]
-			for k := range nets {
-				delete(nets, k)
-			}
+			nets.next()
 		}
 		for _, c := range cells {
 			conflict := false
 			for _, pi := range d.PinsOfCell(int(c)) {
-				if nets[d.Pins[pi].Net] {
+				if nets.has(d.Pins[pi].Net) {
 					conflict = true
 					break
 				}
@@ -66,7 +63,7 @@ func (st *state) ismPass(batchSize int) int {
 			}
 			batch = append(batch, c)
 			for _, pi := range d.PinsOfCell(int(c)) {
-				nets[d.Pins[pi].Net] = true
+				nets.add(d.Pins[pi].Net)
 			}
 			if len(batch) == batchSize {
 				flush()
@@ -118,7 +115,7 @@ func (st *state) matchBatch(batch []int32) bool {
 	// rebuilding the touched slots (all slots belong to batch cells, and
 	// widths are equal, so positions exchange cleanly).
 	type loc struct {
-		row, slot int
+		row, slot int32
 	}
 	slotLoc := make([]loc, n)
 	for j, c := range batch {

@@ -9,25 +9,24 @@ import (
 // swap near the median of its nets. Returns accepted (moves, swaps).
 func (st *state) globalSwapPass(searchRows int) (moves, swaps int) {
 	d := st.d
-	for _, ci := range d.MovableIndices() {
-		c := int32(ci)
-		if _, ok := st.rowOf[c]; !ok {
-			continue // macro
+	for ci := range d.Cells {
+		if st.rowOf[ci] < 0 {
+			continue // macro, fixed cell or pad
 		}
+		c := int32(ci)
 		optX, optY := st.optimalPoint(c)
-		curRow := st.rowOf[c]
 
 		// Candidate rows around the optimal y.
 		base := st.nearestRow(optY)
 		bestDelta := -1e-12 // require strict improvement
-		type action struct {
-			kind    int // 0 = move, 1 = swap
-			row     int
-			slot    int // gap slot (move) or partner slot (swap)
-			x       float64
-			partner int32
+		// best is the most improving candidate so far: a whitespace move
+		// to x in row, or a swap with partner.
+		var best struct {
+			found, swap bool
+			row         int
+			x           float64
+			partner     int32
 		}
-		var best *action
 		w := d.Cells[c].W
 
 		for off := -searchRows; off <= searchRows; off++ {
@@ -43,7 +42,7 @@ func (st *state) globalSwapPass(searchRows int) (moves, swaps int) {
 				delta := st.hpwlDelta([]int32{c}, []float64{x}, []float64{row.y})
 				if delta < bestDelta {
 					bestDelta = delta
-					best = &action{kind: 0, row: ri, slot: gi, x: x}
+					best.found, best.swap, best.row, best.x = true, false, ri, x
 				}
 			}
 			// -- equal-width swaps with nearby cells.
@@ -59,9 +58,6 @@ func (st *state) globalSwapPass(searchRows int) (moves, swaps int) {
 				if math.Abs(d.Cells[s].W-w) > 1e-9 {
 					continue
 				}
-				if st.rowOf[s] == curRow && st.slotOf[s] == st.slotOf[c] {
-					continue
-				}
 				delta := st.hpwlDelta(
 					[]int32{c, s},
 					[]float64{row.items[probe].x, d.X[c]},
@@ -69,19 +65,17 @@ func (st *state) globalSwapPass(searchRows int) (moves, swaps int) {
 				)
 				if delta < bestDelta {
 					bestDelta = delta
-					best = &action{kind: 1, row: ri, slot: probe, partner: s}
+					best.found, best.swap, best.partner = true, true, s
 				}
 			}
 		}
-		if best == nil {
-			continue
-		}
-		if best.kind == 0 {
-			st.applyMove(c, best.row, best.x)
-			moves++
-		} else {
+		switch {
+		case best.swap:
 			st.applySwap(c, best.partner)
 			swaps++
+		case best.found:
+			st.applyMove(c, best.row, best.x)
+			moves++
 		}
 	}
 	return moves, swaps
@@ -171,15 +165,10 @@ func (st *state) gapAround(ri int, x, w float64, self int32) (lo, hi float64, gi
 func (st *state) applyMove(c int32, ri int, x float64) {
 	d := st.d
 	// Remove from the old row.
-	oldRow := st.rowOf[c]
-	oldSlot := st.slotOf[c]
-	items := st.rows[oldRow].items
-	st.rows[oldRow].items = append(items[:oldSlot], items[oldSlot+1:]...)
-	for si := oldSlot; si < len(st.rows[oldRow].items); si++ {
-		if e := st.rows[oldRow].items[si]; e.cell >= 0 {
-			st.slotOf[e.cell] = si
-		}
-	}
+	old := &st.rows[st.rowOf[c]]
+	oldSlot := int(st.slotOf[c])
+	old.items = append(old.items[:oldSlot], old.items[oldSlot+1:]...)
+	st.reslot(old, oldSlot)
 	// Insert into the new row.
 	d.X[c] = x
 	d.Y[c] = st.rows[ri].y
@@ -188,12 +177,17 @@ func (st *state) applyMove(c int32, ri int, x float64) {
 	row.items = append(row.items, entry{})
 	copy(row.items[pos+1:], row.items[pos:])
 	row.items[pos] = entry{x: x, w: d.Cells[c].W, cell: c}
-	for si := pos; si < len(row.items); si++ {
+	st.reslot(row, pos)
+	st.rowOf[c] = int32(ri)
+}
+
+// reslot re-indexes slotOf for the row's cells from slot from on.
+func (st *state) reslot(row *rowState, from int) {
+	for si := from; si < len(row.items); si++ {
 		if e := row.items[si]; e.cell >= 0 {
-			st.slotOf[e.cell] = si
+			st.slotOf[e.cell] = int32(si)
 		}
 	}
-	st.rowOf[c] = ri
 }
 
 // applySwap exchanges the slots of equal-width cells c and s.
@@ -211,18 +205,18 @@ func (st *state) applySwap(c, s int32) {
 
 // reorderPass permutes windows of consecutive cells within each row,
 // packing each permutation from the window's left edge; the best legal
-// permutation by HPWL is kept. Returns accepted reorders.
+// permutation by HPWL is kept. window is at most maxWindow. Returns accepted
+// reorders.
 func (st *state) reorderPass(window int) int {
 	d := st.d
 	accepted := 0
-	cells := make([]int32, 0, window)
-	xs := make([]float64, 0, window)
-	ys := make([]float64, 0, window)
+	var cellBuf, orderBuf [maxWindow]int32
+	var xBuf, yBuf [maxWindow]float64
 	for ri := range st.rows {
 		row := &st.rows[ri]
 		for start := 0; start < len(row.items); start++ {
 			// Collect up to `window` consecutive movable cells.
-			cells = cells[:0]
+			cells := cellBuf[:0]
 			end := start
 			for end < len(row.items) && len(cells) < window {
 				if row.items[end].cell < 0 {
@@ -231,7 +225,8 @@ func (st *state) reorderPass(window int) int {
 				cells = append(cells, row.items[end].cell)
 				end++
 			}
-			if len(cells) < 2 {
+			n := len(cells)
+			if n < 2 {
 				continue
 			}
 			left := row.items[start].x
@@ -239,36 +234,29 @@ func (st *state) reorderPass(window int) int {
 			if end < len(row.items) {
 				limit = row.items[end].x
 			}
+			if st.perms[n] == nil {
+				st.perms[n] = permutations(n)
+			}
+			perms := st.perms[n]
+			ordered, xs, ys := orderBuf[:n], xBuf[:n], yBuf[:n]
 			bestPerm := -1
 			bestDelta := -1e-12
-			perms := permutations(len(cells))
 			for pi, perm := range perms {
 				if pi == 0 {
 					continue // identity
 				}
-				// Pack the permuted cells from `left`.
+				// Pack the permuted cells from `left`: cells[perm[j]]
+				// moves to xs[j].
 				x := left
-				xs = xs[:0]
-				ys = ys[:0]
-				ok := true
-				for _, k := range perm {
+				for j, k := range perm {
 					c := cells[k]
-					xs = append(xs, x)
-					ys = append(ys, row.y)
+					ordered[j], xs[j], ys[j] = c, x, row.y
 					x += d.Cells[c].W
 				}
 				if x > limit+1e-9 {
-					ok = false
-				}
-				if !ok {
 					continue
 				}
-				// Order cells to match move API (cells[perm[j]] -> xs[j]).
-				ordered := make([]int32, len(perm))
-				for j, k := range perm {
-					ordered[j] = cells[k]
-				}
-				delta := st.hpwlDelta(ordered, append([]float64(nil), xs...), append([]float64(nil), ys...))
+				delta := st.hpwlDelta(ordered, xs, ys)
 				if delta < bestDelta {
 					bestDelta = delta
 					bestPerm = pi
@@ -277,13 +265,12 @@ func (st *state) reorderPass(window int) int {
 			if bestPerm < 0 {
 				continue
 			}
-			perm := perms[bestPerm]
 			x := left
-			for j, k := range perm {
+			for j, k := range perms[bestPerm] {
 				c := cells[k]
 				d.X[c] = x
 				row.items[start+j] = entry{x: x, w: d.Cells[c].W, cell: c}
-				st.slotOf[c] = start + j
+				st.slotOf[c] = int32(start + j)
 				x += d.Cells[c].W
 			}
 			accepted++

@@ -701,9 +701,13 @@ func (c *Coordinator) Get(id string) (JobView, error) {
 
 // Cancel cancels a job: an unplaced or mid-steal one dies in the
 // coordinator (the dispatch or steal in flight then revokes the copy it
-// leaves), a placed one is cancelled on its worker. When a reroute or steal
-// moves the job while the worker call is in flight, that worker's answer is
-// stale and the cancel follows the job.
+// leaves), a placed one is cancelled on its worker. When that worker call
+// fails, the job dies in the coordinator too, journaled, so neither expiry
+// nor replay reroutes it, and syncWorkers cancels the copy if the worker
+// still lists it live; only a 409, a copy that already finished, leaves the
+// job to the sync that folds its real end. When a reroute or steal moves
+// the job while the worker call is in flight, that worker's answer is stale
+// and the cancel follows the job.
 func (c *Coordinator) Cancel(id string) (JobView, error) {
 	for {
 		c.mu.Lock()
@@ -728,8 +732,13 @@ func (c *Coordinator) Cancel(id string) (JobView, error) {
 		}
 		c.mu.Lock()
 		moved := j.worker != worker || j.remoteID != remote
-		if err == nil && !moved {
-			c.updateFromWorkerLocked(j, v)
+		if !moved {
+			switch {
+			case err == nil:
+				c.updateFromWorkerLocked(j, v)
+			case !hasStatus(err, http.StatusConflict):
+				c.finishLocked(j, "cancelled")
+			}
 		}
 		c.mu.Unlock()
 		if !moved {
@@ -1081,9 +1090,10 @@ func (c *Coordinator) rehome(j *fleetJob, first *Heartbeat) {
 }
 
 // syncWorkers polls each live worker's job list, folds the states into the
-// fleet job table (releasing admission slots on terminal transitions), and
+// fleet job table (releasing admission slots on terminal transitions),
 // re-routes jobs the worker no longer knows (e.g. a worker that restarted
-// without a durable store).
+// without a durable store), and cancels, best effort, a live copy of a job
+// the fleet has already ended (a cancel whose worker call failed).
 func (c *Coordinator) syncWorkers() {
 	now := c.now()
 	for _, hb := range c.reg.Live(now) {
@@ -1109,6 +1119,19 @@ func (c *Coordinator) syncWorkers() {
 			}
 			return "", !known
 		})
+		var orphans []string
+		c.mu.Lock()
+		for _, j := range c.order {
+			if v, known := byID[j.remoteID]; j.terminal && j.worker == hb.ID && known && !v.State.Terminal() {
+				orphans = append(orphans, j.remoteID)
+			}
+		}
+		c.mu.Unlock()
+		for _, id := range orphans {
+			if _, err := c.cancelRemote(hb.URL, id); err != nil {
+				c.tel.ProxyErrors.Inc()
+			}
+		}
 	}
 }
 

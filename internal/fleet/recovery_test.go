@@ -497,8 +497,9 @@ func TestCancelVsDispatchRace(t *testing.T) {
 
 // stubWorker is a scripted worker API over a job table the test drives:
 // POST /jobs queues a job (429 while busy), GET lists or fetches one, and
-// DELETE cancels a live job (with ?if=queued, only a queued one). park
-// makes one method's fetch or cancel hold its reply.
+// DELETE cancels a live job (with ?if=queued, only a queued one; a 500
+// while failCancels). park makes one method's fetch or cancel hold its
+// reply.
 type stubWorker struct {
 	id, dataDir     string
 	srv             *httptest.Server
@@ -506,6 +507,7 @@ type stubWorker struct {
 	ids             []string
 	states          map[string]service.State
 	busy            bool
+	failCancels     bool
 	parkOn          string // method whose replies park ("" = none)
 	parked, release chan struct{}
 }
@@ -546,6 +548,11 @@ func newStubWorker(t *testing.T, id, dataDir string) *stubWorker {
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, conditional := r.PathValue("id"), r.URL.Query().Get("if") == "queued"
 		sw.mu.Lock()
+		if sw.failCancels {
+			sw.mu.Unlock()
+			service.WriteError(w, http.StatusInternalServerError, "cancel failed")
+			return
+		}
 		st, ok := sw.states[id]
 		refused := st.Terminal() || (conditional && st != service.StateQueued)
 		if ok && !refused {
@@ -789,6 +796,117 @@ func TestMovedJobIgnoresStaleAnswers(t *testing.T) {
 					got.State, got.Worker, copyState, tc.want, tc.want)
 			}
 		})
+	}
+}
+
+// TestCancelWithWorkerDown: a cancel whose worker call fails, because the
+// worker is down but not yet expired, ends the job in the coordinator. The
+// worker's expiry then reroutes nothing, and a coordinator replaying the
+// journal holds the job cancelled too.
+func TestCancelWithWorkerDown(t *testing.T) {
+	clock := newFakeClock()
+	dir := t.TempDir()
+	c := newJournalCoordinator(t, clock, filepath.Join(dir, "journal"))
+	defer c.Close()
+	src, dst := newStubWorker(t, "src", ""), newStubWorker(t, "dst", "")
+	if err := c.RecordHeartbeat(src.heartbeat(0, 0), clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := c.Submit(slowSpec(1), "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Worker != "src" {
+		t.Fatalf("job on %q, want src", v.Worker)
+	}
+	if err := c.RecordHeartbeat(dst.heartbeat(0, 0), clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	src.srv.Close()
+	cv, err := c.Cancel(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cv.State != "cancelled" {
+		t.Errorf("cancel answered state=%s, want cancelled", cv.State)
+	}
+
+	// src stays silent past the TTL (and, replayed, past the recovery
+	// grace) while dst keeps beating.
+	settle := func(c *Coordinator) {
+		for i := 0; i < 2; i++ {
+			clock.Advance(1500 * time.Millisecond)
+			if err := c.RecordHeartbeat(dst.heartbeat(0, 0), clock.Now()); err != nil {
+				t.Fatal(err)
+			}
+			c.Tick(clock.Now())
+		}
+	}
+	check := func(stage string, c *Coordinator) {
+		t.Helper()
+		got, err := c.Get(v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst.mu.Lock()
+		posts := len(dst.ids)
+		dst.mu.Unlock()
+		if got.State != "cancelled" || got.Reroutes != 0 || posts != 0 {
+			t.Fatalf("%s: state=%s worker=%s reroutes=%d, %d posts to dst; want cancelled, 0 reroutes, no posts",
+				stage, got.State, got.Worker, got.Reroutes, posts)
+		}
+	}
+	settle(c)
+	check("live", c)
+
+	data, err := os.ReadFile(filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayPath := filepath.Join(dir, "replay")
+	if err := os.WriteFile(replayPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := newJournalCoordinator(t, clock, replayPath)
+	defer r.Close()
+	settle(r)
+	check("replayed", r)
+}
+
+// TestFailedCancelRevokesLiveCopy: when a cancel's worker call fails while
+// the worker stays up, the next sync finds the job's copy still live on the
+// worker and cancels it there.
+func TestFailedCancelRevokesLiveCopy(t *testing.T) {
+	clock := newFakeClock()
+	c := newTestCoordinator(t, clock, nil)
+	src := newStubWorker(t, "src", "")
+	if err := c.RecordHeartbeat(src.heartbeat(0, 0), clock.Now()); err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := c.Submit(slowSpec(1), "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.mu.Lock()
+	src.failCancels = true
+	src.mu.Unlock()
+	cv, err := c.Cancel(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.mu.Lock()
+	src.failCancels = false
+	before := src.states[v.RemoteID]
+	src.mu.Unlock()
+	if cv.State != "cancelled" || before != service.StateQueued {
+		t.Fatalf("cancel answered state=%s with the copy %s; want cancelled, copy queued", cv.State, before)
+	}
+	c.Tick(clock.Now())
+	src.mu.Lock()
+	after := src.states[v.RemoteID]
+	src.mu.Unlock()
+	if after != service.StateCancelled {
+		t.Fatalf("copy on the worker is %s after a sync, want cancelled", after)
 	}
 }
 

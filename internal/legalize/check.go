@@ -63,19 +63,21 @@ func CheckLegal(d *netlist.Design) error {
 		stdCells = append(stdCells, placed{rect, c})
 	}
 
-	// Std-cell overlap: group by row (YL) and sweep in x.
-	byRow := map[float64][]placed{}
-	for _, p := range stdCells {
-		byRow[p.rect.YL] = append(byRow[p.rect.YL], p)
-	}
-	for _, cellsInRow := range byRow {
-		sort.Slice(cellsInRow, func(i, j int) bool { return cellsInRow[i].rect.XL < cellsInRow[j].rect.XL })
-		for i := 1; i < len(cellsInRow); i++ {
-			prev, cur := cellsInRow[i-1], cellsInRow[i]
-			if prev.rect.XH > cur.rect.XL+eps {
-				return fmt.Errorf("legalize: cells %d and %d overlap in row y=%g (%v vs %v)",
-					prev.idx, cur.idx, prev.rect.YL, prev.rect, cur.rect)
-			}
+	// Std-cell overlap: sweep the cells by row (YL) and x, rows in ascending
+	// y, so the first violation reported is the same on every call.
+	byRow := append([]placed(nil), stdCells...)
+	sort.Slice(byRow, func(i, j int) bool {
+		a, b := byRow[i].rect, byRow[j].rect
+		if a.YL != b.YL {
+			return a.YL < b.YL
+		}
+		return a.XL < b.XL
+	})
+	for i := 1; i < len(byRow); i++ {
+		prev, cur := byRow[i-1], byRow[i]
+		if prev.rect.YL == cur.rect.YL && prev.rect.XH > cur.rect.XL+eps {
+			return fmt.Errorf("legalize: cells %d and %d overlap in row y=%g (%v vs %v)",
+				prev.idx, cur.idx, prev.rect.YL, prev.rect, cur.rect)
 		}
 	}
 

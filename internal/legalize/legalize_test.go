@@ -1,7 +1,9 @@
 package legalize
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/netlist"
@@ -174,6 +176,52 @@ func TestCheckLegalCatchesViolations(t *testing.T) {
 	d3.X[mov[0]] = d3.Region.XH + 100
 	if CheckLegal(d3) == nil {
 		t.Error("out-of-region cell not caught")
+	}
+}
+
+// TestCheckLegalDeterministic: with overlaps in two rows, CheckLegal
+// reports the lower row's on every call.
+func TestCheckLegalDeterministic(t *testing.T) {
+	d := placedDesign(t, 200, 0)
+	if _, err := Abacus(d, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	// Stack the second cell of each of two rows onto the first.
+	first := map[float64]int{}
+	overlapped := map[float64]bool{}
+	for _, c := range d.MovableIndices() {
+		y := d.Y[c]
+		if d.Cells[c].Kind == netlist.MovableMacro || overlapped[y] {
+			continue
+		}
+		a, ok := first[y]
+		if !ok {
+			first[y] = c
+			continue
+		}
+		if len(overlapped) < 2 {
+			d.X[c] = d.X[a]
+			overlapped[y] = true
+		}
+	}
+	if len(overlapped) != 2 {
+		t.Fatalf("overlaps planted in %d rows, want 2", len(overlapped))
+	}
+	want := CheckLegal(d)
+	if want == nil {
+		t.Fatal("overlaps not caught")
+	}
+	lowest := math.Inf(1)
+	for y := range overlapped {
+		lowest = math.Min(lowest, y)
+	}
+	if !strings.Contains(want.Error(), fmt.Sprintf("row y=%g ", lowest)) {
+		t.Errorf("first report %q, want the row at y=%g", want, lowest)
+	}
+	for i := 0; i < 50; i++ {
+		if err := CheckLegal(d); err == nil || err.Error() != want.Error() {
+			t.Fatalf("call %d reported %v, the first call %v", i, err, want)
+		}
 	}
 }
 
