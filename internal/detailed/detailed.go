@@ -79,6 +79,14 @@ type state struct {
 	// perms[n] is the permutation table of an n-cell reorder window, built
 	// on first use.
 	perms [maxWindow + 1][][]int
+	// matchBatch's scratch: a batch's slot positions and places, its
+	// assignment cost matrix, whose rows are resliced from costFlat, and the
+	// assignment solver's lanes.
+	slotX, slotY []float64
+	slotLoc      []rowSlot
+	cost         [][]float64
+	costFlat     []float64
+	assign       hungarian
 }
 
 // marks is a set of small non-negative integers that empties in O(1): k is

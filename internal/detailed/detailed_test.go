@@ -321,7 +321,7 @@ func TestHungarianKnownMatrices(t *testing.T) {
 		{2, 0, 5},
 		{3, 2, 2},
 	}
-	perm := hungarian(cost)
+	perm := new(hungarian).solve(cost)
 	total := 0.0
 	for i, j := range perm {
 		total += cost[i][j]
@@ -337,13 +337,15 @@ func TestHungarianKnownMatrices(t *testing.T) {
 		}
 		seen[j] = true
 	}
-	if len(hungarian(nil)) != 0 {
+	if len(new(hungarian).solve(nil)) != 0 {
 		t.Error("empty matrix should yield empty assignment")
 	}
 }
 
 func TestHungarianMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
+	// One solver across sizes 2..6 pins the reset of its reused lanes.
+	var h hungarian
 	for iter := 0; iter < 50; iter++ {
 		n := 2 + rng.Intn(5)
 		cost := make([][]float64, n)
@@ -353,7 +355,7 @@ func TestHungarianMatchesBruteForce(t *testing.T) {
 				cost[i][j] = rng.NormFloat64() * 10
 			}
 		}
-		perm := hungarian(cost)
+		perm := h.solve(cost)
 		got := 0.0
 		for i, j := range perm {
 			got += cost[i][j]

@@ -81,15 +81,16 @@ func (st *state) matchBatch(batch []int32) bool {
 	d := st.d
 	n := len(batch)
 	// Slot j is cell batch[j]'s current position.
-	slotX := make([]float64, n)
-	slotY := make([]float64, n)
+	slotX := grow(&st.slotX, n)
+	slotY := grow(&st.slotY, n)
 	for j, c := range batch {
 		slotX[j] = d.X[c]
 		slotY[j] = d.Y[c]
 	}
-	cost := make([][]float64, n)
+	flat := grow(&st.costFlat, n*n)
+	cost := grow(&st.cost, n)
 	for i, c := range batch {
-		cost[i] = make([]float64, n)
+		cost[i] = flat[i*n : (i+1)*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			if i == j {
 				cost[i][j] = 0
@@ -99,7 +100,7 @@ func (st *state) matchBatch(batch []int32) bool {
 			cost[i][j] = st.hpwlDelta([]int32{c}, []float64{slotX[j]}, []float64{slotY[j]})
 		}
 	}
-	perm := hungarian(cost)
+	perm := st.assign.solve(cost)
 	total := 0.0
 	identity := true
 	for i, j := range perm {
@@ -114,12 +115,9 @@ func (st *state) matchBatch(batch []int32) bool {
 	// Apply: each cell i takes slot perm[i]. Swap row bookkeeping by
 	// rebuilding the touched slots (all slots belong to batch cells, and
 	// widths are equal, so positions exchange cleanly).
-	type loc struct {
-		row, slot int32
-	}
-	slotLoc := make([]loc, n)
+	slotLoc := grow(&st.slotLoc, n)
 	for j, c := range batch {
-		slotLoc[j] = loc{st.rowOf[c], st.slotOf[c]}
+		slotLoc[j] = rowSlot{st.rowOf[c], st.slotOf[c]}
 	}
 	for i, c := range batch {
 		j := perm[i]
@@ -131,4 +129,10 @@ func (st *state) matchBatch(batch []int32) bool {
 		st.slotOf[c] = l.slot
 	}
 	return true
+}
+
+// rowSlot places a standard cell: its row index and its index into that
+// row's items.
+type rowSlot struct {
+	row, slot int32
 }

@@ -9,21 +9,14 @@ import "math"
 //	f(a, b) = (a*e^{a/g} + b*e^{b/g}) / (e^{a/g} + e^{b/g}),
 //
 // stabilized by factoring out max(a, b). Unlike CHKS it under-approximates
-// the maximum.
-func bivariateWA(a, b, gamma float64) float64 {
-	m := math.Max(a, b)
-	ea := math.Exp((a - m) / gamma)
-	eb := math.Exp((b - m) / gamma)
-	return (a*ea + b*eb) / (ea + eb)
-}
-
-// bivariateWAPartials returns df/da and df/db.
-func bivariateWAPartials(a, b, gamma float64) (da, db float64) {
+// the maximum. It returns f with its partials df/da and df/db, all from one
+// pair of exponentials.
+func bivariateWA(a, b, gamma float64) (f, da, db float64) {
 	m := math.Max(a, b)
 	ea := math.Exp((a - m) / gamma)
 	eb := math.Exp((b - m) / gamma)
 	den := ea + eb
-	f := (a*ea + b*eb) / den
+	f = (a*ea + b*eb) / den
 	da = ea / den * (1 + (a-f)/gamma)
 	db = eb / den * (1 + (b-f)/gamma)
 	return
@@ -63,9 +56,7 @@ func (s *bigScratch) foldWA(x []float64, gamma float64, grad []float64, negate b
 	s.da[0], s.db[0] = 0, 1
 	for k := 1; k < n; k++ {
 		v := get(k)
-		da, db := bivariateWAPartials(m, v, gamma)
-		m = bivariateWA(m, v, gamma)
-		s.da[k], s.db[k] = da, db
+		m, s.da[k], s.db[k] = bivariateWA(m, v, gamma)
 	}
 	if grad != nil {
 		suffix := 1.0

@@ -2,7 +2,8 @@ package wirelength
 
 import "math"
 
-// NetWA is the weighted-average smooth HPWL kernel (Hsu, Chang, Balabanov):
+// NewWAKernel returns the weighted-average smooth HPWL kernel (Hsu, Chang,
+// Balabanov) with private lanes:
 //
 //	W = sum(x_i*e^{x_i/g})/sum(e^{x_i/g}) - sum(x_i*e^{-x_i/g})/sum(e^{-x_i/g}).
 //
@@ -12,34 +13,45 @@ import "math"
 //
 //	d/dx_i = w_i/B * (1 + (x_i - f)/gamma),  w_i = e^{(x_i-hi)/gamma},
 //
-// with the mirrored expression for the smooth-min part.
-func NetWA(x []float64, gamma float64, grad []float64) float64 {
-	checkKernelArgs(x, gamma)
-	lo, hi := spanExtremes(x)
-	inv := 1 / gamma
+// with the mirrored expression for the smooth-min part. The value loop keeps
+// each pin's two weights in the lanes and the gradient loop reads them back,
+// so every exponential is evaluated once per call.
+func NewWAKernel() Kernel {
+	var s expLanes
+	return func(x []float64, gamma float64, grad []float64) float64 {
+		checkKernelArgs(x, gamma)
+		lo, hi := spanExtremes(x)
+		inv := 1 / gamma
+		eh, el := s.ensure(len(x))
 
-	var numHi, denHi, numLo, denLo float64
-	for _, v := range x {
-		wh := math.Exp((v - hi) * inv)
-		wl := math.Exp((lo - v) * inv)
-		numHi += v * wh
-		denHi += wh
-		numLo += v * wl
-		denLo += wl
-	}
-	smax := numHi / denHi
-	smin := numLo / denLo
-
-	if grad != nil {
+		var numHi, denHi, numLo, denLo float64
 		for i, v := range x {
 			wh := math.Exp((v - hi) * inv)
 			wl := math.Exp((lo - v) * inv)
-			dmax := wh / denHi * (1 + (v-smax)*inv)
-			dmin := wl / denLo * (1 - (v-smin)*inv)
-			grad[i] = dmax - dmin
+			eh[i], el[i] = wh, wl
+			numHi += v * wh
+			denHi += wh
+			numLo += v * wl
+			denLo += wl
 		}
+		smax := numHi / denHi
+		smin := numLo / denLo
+
+		if grad != nil {
+			for i, v := range x {
+				dmax := eh[i] / denHi * (1 + (v-smax)*inv)
+				dmin := el[i] / denLo * (1 - (v-smin)*inv)
+				grad[i] = dmax - dmin
+			}
+		}
+		return smax - smin
 	}
-	return smax - smin
+}
+
+// NetWA evaluates the WA kernel with throwaway lanes; see NewWAKernel for
+// the allocation-free variant.
+func NetWA(x []float64, gamma float64, grad []float64) float64 {
+	return NewWAKernel()(x, gamma, grad)
 }
 
 // NetWANaive is the WA kernel without exponent shifting, kept for the
@@ -93,4 +105,4 @@ func NetWASmoothMax(x []float64, gamma float64, grad []float64) float64 {
 }
 
 // NewWA returns the weighted-average wirelength model.
-func NewWA() Model { return NewKernelModel("WA", ParamGamma, NetWA) }
+func NewWA() Model { return NewKernelModel("WA", ParamGamma, NewWAKernel()) }

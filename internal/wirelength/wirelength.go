@@ -59,9 +59,10 @@ type Model interface {
 // TotalHPWL returns the exact total weighted half-perimeter wirelength of
 // the design at its current placement. This is the evaluation metric used in
 // every table of the paper. It streams over the design's flat SoA pin lanes
-// (cell-index, dx, dy) instead of walking 24-byte Pin records; the
-// comparison order matches the record walk exactly, so the value is
-// bit-identical to it.
+// (cell-index, dx, dy) instead of walking 24-byte Pin records, and takes
+// each net's extremes with the builtin min and max, which are exact: on
+// finite coordinates the value is bit-identical to the record walk, and a
+// NaN coordinate makes it NaN.
 func TotalHPWL(d *netlist.Design) float64 {
 	ln := d.PinLanes()
 	pc, pdx, pdy := ln.PinCell, ln.PinDx, ln.PinDy
@@ -80,18 +81,10 @@ func TotalHPWL(d *netlist.Design) float64 {
 			c := pc[i]
 			x := X[c] + pdx[i]
 			y := Y[c] + pdy[i]
-			if x < xl {
-				xl = x
-			}
-			if x > xh {
-				xh = x
-			}
-			if y < yl {
-				yl = y
-			}
-			if y > yh {
-				yh = y
-			}
+			xl = min(xl, x)
+			xh = max(xh, x)
+			yl = min(yl, y)
+			yh = max(yh, y)
 		}
 		total += d.Nets[e].Weight * ((xh - xl) + (yh - yl))
 	}
@@ -102,15 +95,7 @@ func TotalHPWL(d *netlist.Design) float64 {
 // canonical subgradient (Eq. 17 of the paper): 1/n_max at maxima, -1/n_min
 // at minima. Provided for reference flows and tests.
 func NetHPWL(x []float64, _ float64, grad []float64) float64 {
-	lo, hi := x[0], x[0]
-	for _, v := range x[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
+	lo, hi := spanExtremes(x)
 	if grad != nil {
 		nmin, nmax := 0, 0
 		for _, v := range x {
@@ -239,18 +224,29 @@ func New(name string, stats *moreau.Stats) (Model, error) {
 // AllModelNames lists the models compared in Tables II/III, in table order.
 func AllModelNames() []string { return []string{"BiG_CHKS", "LSE", "WA", "ME"} }
 
-// spanExtremes returns min, max of x.
+// spanExtremes returns min, max of x; a NaN anywhere in x makes both NaN.
 func spanExtremes(x []float64) (lo, hi float64) {
 	lo, hi = x[0], x[0]
 	for _, v := range x[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+		lo = min(lo, v)
+		hi = max(hi, v)
 	}
 	return lo, hi
+}
+
+// expLanes carries one net's per-pin exponentials from an exponential
+// kernel's value loop to its gradient loop; reused across nets.
+type expLanes struct {
+	hi, lo []float64
+}
+
+// ensure returns the lanes resliced to n pins, growing them on demand.
+func (s *expLanes) ensure(n int) (hi, lo []float64) {
+	if cap(s.hi) < n {
+		s.hi = make([]float64, n)
+		s.lo = make([]float64, n)
+	}
+	return s.hi[:n], s.lo[:n]
 }
 
 // checkKernelArgs validates common kernel preconditions.

@@ -289,6 +289,25 @@ func TestTotalHPWLHandComputed(t *testing.T) {
 	}
 }
 
+// A NaN coordinate on a pin other than its net's first makes the exact HPWL
+// NaN instead of a finite total that skipped the pin.
+func TestHPWLNaNCoordinate(t *testing.T) {
+	for _, axis := range []string{"x", "y"} {
+		d := buildModelTestDesign(t)
+		lane := d.X
+		if axis == "y" {
+			lane = d.Y
+		}
+		lane[2] = math.NaN() // c2: the last pin of n0
+		if got := TotalHPWL(d); !math.IsNaN(got) {
+			t.Errorf("TotalHPWL with NaN %s on c2 = %g, want NaN", axis, got)
+		}
+	}
+	if got := NetHPWL([]float64{12, math.NaN(), 124}, 0, nil); !math.IsNaN(got) {
+		t.Errorf("NetHPWL with a NaN coordinate = %g, want NaN", got)
+	}
+}
+
 func TestModelWirelengthGradMatchesFiniteDifference(t *testing.T) {
 	d := buildModelTestDesign(t)
 	for _, name := range append(AllModelNames(), "HPWL") {
@@ -454,11 +473,11 @@ func benchmarkKernel(b *testing.B, k Kernel, degree int) {
 	}
 }
 
-func BenchmarkKernelWADegree4(b *testing.B)  { benchmarkKernel(b, NetWA, 4) }
-func BenchmarkKernelLSEDegree4(b *testing.B) { benchmarkKernel(b, NetLSE, 4) }
+func BenchmarkKernelWADegree4(b *testing.B)  { benchmarkKernel(b, NewWAKernel(), 4) }
+func BenchmarkKernelLSEDegree4(b *testing.B) { benchmarkKernel(b, NewLSEKernel(), 4) }
 func BenchmarkKernelBiGDegree4(b *testing.B) { benchmarkKernel(b, NewBiGKernel(), 4) }
 func BenchmarkKernelMEDegree4(b *testing.B)  { benchmarkKernel(b, NewMoreauKernel(), 4) }
-func BenchmarkKernelWADegree32(b *testing.B) { benchmarkKernel(b, NetWA, 32) }
+func BenchmarkKernelWADegree32(b *testing.B) { benchmarkKernel(b, NewWAKernel(), 32) }
 func BenchmarkKernelMEDegree32(b *testing.B) { benchmarkKernel(b, NewMoreauKernel(), 32) }
 
 // BiG_WA: the alternative bivariate fold. Same invariants as BiG_CHKS plus
