@@ -3,7 +3,7 @@ GO ?= go
 # Each PR writes its own trajectory file so earlier ones stay comparable.
 BENCH ?= BENCH_PR16.json
 
-.PHONY: check fmt vet build test race fuzz-seeds fuzz bench cover placerd trace-demo fleet-demo chaos-demo placertop-demo golden
+.PHONY: check fmt vet build test race fuzz-seeds fuzz bench cover loc placerd trace-demo fleet-demo chaos-demo placertop-demo golden
 
 check: fmt vet build test race fuzz-seeds
 
@@ -76,6 +76,11 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 	$(GO) tool cover -html=cover.out -o cover.html
 	@echo "wrote cover.out and cover.html"
+
+# loc prints the non-test Go line count of the tracked sources, perfbench/
+# excluded: the size figure each change reports next to its benchmark.
+loc:
+	@git ls-files -- '*.go' ':!:perfbench/**' ':!:*_test.go' | xargs cat | wc -l
 
 placerd:
 	$(GO) build -o bin/placerd ./cmd/placerd

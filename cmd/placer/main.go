@@ -18,7 +18,7 @@
 // never-interrupted run.
 //
 // With -guard the loop watches its own numerical health every iteration
-// (finite positions, bounded HPWL growth, overflow progress) and rolls back
+// (finite positions, finite objective, bounded HPWL growth) and rolls back
 // to a recent in-memory snapshot on a violation, retrying with a shrunken
 // step; a run that cannot recover exits 3 with a divergence report instead
 // of emitting NaN positions.

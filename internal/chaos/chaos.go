@@ -2,8 +2,7 @@
 // (internal/faultinject) into a network-level chaos harness for the fleet:
 // a Plan of named Rules drives an http.RoundTripper that injects latency
 // spikes, dropped connections, synthetic 5xx responses, and blackholes into
-// real HTTP traffic, and an Orchestrator kills and restarts named in-test
-// processes (coordinators, workers) on demand.
+// real HTTP traffic.
 //
 // Determinism carries over from faultinject: every Rule is scheduled by
 // exact visit counts (After/Times/Every/Forever), and rules with After < 0

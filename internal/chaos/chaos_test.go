@@ -171,49 +171,3 @@ func TestTransportDeterminism(t *testing.T) {
 		t.Fatal("default rules injected nothing across 60 requests")
 	}
 }
-
-// TestOrchestratorLifecycle: start/kill/restart bookkeeping, abrupt stops,
-// and KillAll cleanup.
-func TestOrchestratorLifecycle(t *testing.T) {
-	o := NewOrchestrator()
-	var alive atomic.Int64
-	o.Register("coord", func() (StopFunc, error) {
-		alive.Add(1)
-		return func() { alive.Add(-1) }, nil
-	})
-
-	if err := o.Start("coord"); err != nil {
-		t.Fatal(err)
-	}
-	if !o.Running("coord") || alive.Load() != 1 {
-		t.Fatal("coord should be running")
-	}
-	if err := o.Start("coord"); err == nil {
-		t.Fatal("double start should fail")
-	}
-	if !o.Kill("coord") || o.Running("coord") || alive.Load() != 0 {
-		t.Fatal("kill should stop coord")
-	}
-	if o.Kill("coord") {
-		t.Fatal("second kill should be a no-op")
-	}
-	if err := o.Restart("coord"); err != nil {
-		t.Fatal(err)
-	}
-	if o.Restarts("coord") != 1 || alive.Load() != 1 {
-		t.Fatalf("restarts = %d, alive = %d", o.Restarts("coord"), alive.Load())
-	}
-	if err := o.Restart("coord"); err != nil {
-		t.Fatal(err)
-	}
-	if o.Restarts("coord") != 2 {
-		t.Fatalf("restarts = %d, want 2", o.Restarts("coord"))
-	}
-	if err := o.Start("ghost"); err == nil {
-		t.Fatal("unknown process should fail to start")
-	}
-	o.KillAll()
-	if alive.Load() != 0 || o.Running("coord") {
-		t.Fatal("KillAll should stop everything")
-	}
-}

@@ -113,14 +113,15 @@ type LambdaState struct {
 	Primed bool
 }
 
-// TrajectoryPoint mirrors placer.TrajectoryPoint without importing it (the
-// placer imports this package).
+// TrajectoryPoint is one recorded sample of a global placement run: exact
+// HPWL against density overflow (the Fig. 3 curve). placer.TrajectoryPoint
+// is an alias of it.
 type TrajectoryPoint struct {
 	Iter      int
 	Overflow  float64
 	HPWL      float64
 	Objective float64
-	Param     float64
+	Param     float64 // smoothing parameter (gamma or t) from Overflow; the next step's gradient uses it
 	Lambda    float64
 }
 

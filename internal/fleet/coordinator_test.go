@@ -312,6 +312,10 @@ func TestCoordinatorRecoversFromWorkerDeath(t *testing.T) {
 	if done.Job == nil || done.Job.Result == nil {
 		t.Fatal("re-routed job has no result")
 	}
+	// The victim checkpointed every 5 iterations and died past iteration 20.
+	if done.Job.Result.ResumedFrom < 20 {
+		t.Errorf("re-routed job resumed from iteration %d, want a dead-node snapshot at 20 or later", done.Job.Result.ResumedFrom)
+	}
 	if done.Job.Result.GPIters != iters {
 		t.Errorf("re-routed job ran %d GP iterations, want %d", done.Job.Result.GPIters, iters)
 	}

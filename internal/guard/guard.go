@@ -1,14 +1,13 @@
 // Package guard implements the numerical-health sentinel of the guarded
 // optimization loop: per-iteration invariant checks over the quantities the
-// placer already computes (positions, objective, HPWL, overflow, BB step),
-// plus the policy knobs and typed failure the placer's rollback machinery
-// uses when an invariant trips.
+// placer already computes (positions, objective, HPWL), plus the retry
+// budget, events and typed failure the placer's rollback machinery uses when
+// an invariant trips.
 //
 // The package itself is engine-agnostic — it sees only Sample values and
-// answers "is this iteration healthy?" — while internal/placer owns the
-// snapshot ring and the actual rollback. That split keeps guard free of
-// import cycles and makes the detector unit-testable with synthetic
-// trajectories.
+// answers "is this iteration healthy?" — while internal/placer owns the kept
+// snapshot and the actual rollback. That split keeps guard free of import
+// cycles and makes the detector unit-testable with synthetic trajectories.
 package guard
 
 import (
@@ -25,13 +24,16 @@ const (
 	KindNonFinitePositions Kind = "nonfinite-positions"
 	// KindNonFiniteObjective — the optimizer objective went NaN or ±Inf.
 	KindNonFiniteObjective Kind = "nonfinite-objective"
-	// KindHPWLExplosion — HPWL exceeded Growth× the trailing-window minimum.
+	// KindHPWLExplosion — HPWL went non-finite or exceeded growth× the
+	// trailing-window minimum.
 	KindHPWLExplosion Kind = "hpwl-explosion"
-	// KindOverflowStall — overflow has not improved by StallDelta over
-	// StallWindow iterations while still above StallFloor.
-	KindOverflowStall Kind = "overflow-stall"
-	// KindStepCeiling — the BB/backtracking step exceeded MaxStep.
-	KindStepCeiling Kind = "step-ceiling"
+)
+
+// The HPWL growth check trips when HPWL exceeds growth times its minimum
+// over the last window healthy iterations.
+const (
+	window = 8
+	growth = 10
 )
 
 // Violation records one tripped invariant with enough context to debug the
@@ -39,7 +41,7 @@ const (
 type Violation struct {
 	Kind  Kind
 	Iter  int
-	Value float64 // the offending quantity (HPWL, step, overflow, ...)
+	Value float64 // the offending quantity (a coordinate, the objective or HPWL)
 	Limit float64 // the threshold it crossed (0 when not applicable)
 	Cell  int     // first offending cell index for position checks, else -1
 }
@@ -83,115 +85,21 @@ type Event struct {
 	Violation    *Violation // trip/rollback/fail: the triggering violation
 }
 
-// Config tunes the sentinel. The zero value of every field selects a
-// sensible default (see withDefaults); enabling the guard is done by
-// setting placer.Config.Guard to a non-nil *Config, so &guard.Config{} is
-// a complete, working configuration.
+// Config enables the guard with a retry budget; placer.Config.Guard set to
+// &guard.Config{} is a complete, working configuration.
 type Config struct {
-	// Window is the trailing-window length (iterations) for the HPWL
-	// growth check. Default 8.
-	Window int
-	// Growth is the allowed HPWL growth factor over the trailing-window
-	// minimum before the guard trips. Default 10.
-	Growth float64
-	// StallWindow enables the overflow-stagnation check when > 0: the
-	// guard trips if overflow improves by less than StallDelta over
-	// StallWindow iterations while still above StallFloor. Default 0
-	// (disabled) — stagnation is a soft failure and the check is opt-in.
-	StallWindow int
-	// StallDelta is the minimum overflow improvement expected per
-	// StallWindow. Default 1e-4.
-	StallDelta float64
-	// StallFloor suppresses the stall check once overflow is below it
-	// (the run is close enough to converged). Default 0.2.
-	StallFloor float64
-	// MaxStep trips the guard when the optimizer step size exceeds it.
-	// Default 0 (disabled): the BB step is already clamped by the
-	// optimizer's own AlphaMax, so this is an extra belt for tuned runs.
-	MaxStep float64
-	// MaxRetries bounds how many rollbacks a run may perform before the
-	// guard declares divergence. Default 3.
+	// MaxRetries bounds how many rollbacks a divergence episode may perform
+	// before the guard declares divergence. 0 selects the default, 3.
 	MaxRetries int
-	// Shrink is the per-retry step-shrink base: retry r applies factor
-	// Shrink^(r-1), so the first rollback replays at full step (a pure
-	// transient is absorbed with zero distortion) and later ones back off
-	// exponentially. Must be in (0, 1]. Default 0.5.
-	Shrink float64
-	// SnapshotEvery is the in-memory snapshot cadence in iterations.
-	// Default 10.
-	SnapshotEvery int
-	// RingSize bounds the in-memory snapshot ring. Default 4.
-	RingSize int
-	// RecoveryWindow is how many clean iterations after a rollback before
-	// the shrunken step is released back to its base value. Default 2 ×
-	// SnapshotEvery.
-	RecoveryWindow int
 	// OnEvent, when non-nil, observes every trip/rollback/recover/fail
 	// synchronously from the placement goroutine. Keep it fast.
 	OnEvent func(Event)
 }
 
-// withDefaults returns a copy with zero fields replaced by defaults.
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 8
-	}
-	if c.Growth <= 0 {
-		c.Growth = 10
-	}
-	if c.StallDelta <= 0 {
-		c.StallDelta = 1e-4
-	}
-	if c.StallFloor <= 0 {
-		c.StallFloor = 0.2
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
-	if c.Shrink <= 0 || c.Shrink > 1 {
-		c.Shrink = 0.5
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 10
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 4
-	}
-	if c.RecoveryWindow <= 0 {
-		c.RecoveryWindow = 2 * c.SnapshotEvery
-	}
-	return c
-}
-
-// Validate rejects configurations that are actively contradictory (as
-// opposed to merely zero, which means "use the default").
+// Validate rejects a negative retry budget.
 func (c *Config) Validate() error {
-	if c.Window < 0 {
-		return fmt.Errorf("guard: Window = %d, must be >= 0", c.Window)
-	}
-	if c.Growth < 0 {
-		return fmt.Errorf("guard: Growth = %g, must be >= 0", c.Growth)
-	}
-	if c.StallWindow < 0 {
-		return fmt.Errorf("guard: StallWindow = %d, must be >= 0", c.StallWindow)
-	}
-	if c.MaxStep < 0 || math.IsNaN(c.MaxStep) {
-		return fmt.Errorf("guard: MaxStep = %g, must be >= 0", c.MaxStep)
-	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("guard: MaxRetries = %d, must be >= 0", c.MaxRetries)
-	}
-	if c.Shrink < 0 || c.Shrink > 1 || math.IsNaN(c.Shrink) {
-		return fmt.Errorf("guard: Shrink = %g, must be in (0, 1] (0 = default)", c.Shrink)
-	}
-	if c.SnapshotEvery < 0 {
-		return fmt.Errorf("guard: SnapshotEvery = %d, must be >= 0", c.SnapshotEvery)
-	}
-	if c.RingSize < 0 {
-		return fmt.Errorf("guard: RingSize = %d, must be >= 0", c.RingSize)
-	}
-	if c.RecoveryWindow < 0 {
-		return fmt.Errorf("guard: RecoveryWindow = %d, must be >= 0", c.RecoveryWindow)
 	}
 	return nil
 }
@@ -202,18 +110,14 @@ type Sample struct {
 	Iter      int
 	Objective float64   // optimizer objective returned by Step
 	HPWL      float64   // exact HPWL at the new positions
-	Overflow  float64   // density overflow at the last evaluation
-	Step      float64   // optimizer step size (0 when unknown)
 	Pos       []float64 // packed positions; checked for finiteness, not retained
 }
 
-// Monitor holds the trailing-window state of the invariant checks. Not
-// safe for concurrent use; the placer calls it from the loop goroutine.
+// Monitor holds the trailing window of the HPWL growth check; the zero
+// Monitor is ready to use. Not safe for concurrent use; the placer calls it
+// from the loop goroutine.
 type Monitor struct {
-	cfg Config
-
-	hpwl []histPoint // trailing window for the growth check
-	over []histPoint // trailing window for the stall check
+	hpwl []histPoint
 }
 
 type histPoint struct {
@@ -221,21 +125,12 @@ type histPoint struct {
 	val  float64
 }
 
-// NewMonitor builds a monitor with cfg's defaults applied. The returned
-// monitor's Config reports the effective (defaulted) values.
-func NewMonitor(cfg Config) *Monitor {
-	return &Monitor{cfg: cfg.withDefaults()}
-}
-
-// Config returns the effective configuration (defaults applied).
-func (m *Monitor) Config() Config { return m.cfg }
-
 // Check evaluates all invariants against s and returns the first violation
-// found, or nil. A healthy sample is appended to the trailing windows; a
+// found, or nil. A healthy sample is appended to the trailing window; a
 // violating one is not (the caller is about to roll back past it anyway).
 //
-// Check order matters: finiteness first, so a NaN HPWL or overflow can
-// never corrupt the window state used by the relative checks.
+// Check order matters: finiteness first, so a NaN HPWL can never corrupt
+// the window state used by the growth check.
 func (m *Monitor) Check(s Sample) *Violation {
 	if c := firstNonFinite(s.Pos); c >= 0 {
 		return &Violation{Kind: KindNonFinitePositions, Iter: s.Iter, Value: s.Pos[c], Cell: c}
@@ -253,23 +148,15 @@ func (m *Monitor) Check(s Sample) *Violation {
 				min = h.val
 			}
 		}
-		if limit := min * m.cfg.Growth; min > 0 && s.HPWL > limit {
+		if limit := min * growth; min > 0 && s.HPWL > limit {
 			return &Violation{Kind: KindHPWLExplosion, Iter: s.Iter, Value: s.HPWL, Limit: limit, Cell: -1}
 		}
 	}
-	if m.cfg.MaxStep > 0 && s.Step > m.cfg.MaxStep {
-		return &Violation{Kind: KindStepCeiling, Iter: s.Iter, Value: s.Step, Limit: m.cfg.MaxStep, Cell: -1}
-	}
-	if m.cfg.StallWindow > 0 && s.Overflow > m.cfg.StallFloor && len(m.over) >= m.cfg.StallWindow {
-		oldest := m.over[len(m.over)-m.cfg.StallWindow]
-		if oldest.val-s.Overflow < m.cfg.StallDelta {
-			return &Violation{Kind: KindOverflowStall, Iter: s.Iter, Value: s.Overflow, Limit: oldest.val, Cell: -1}
-		}
-	}
 
-	m.hpwl = pushWindow(m.hpwl, histPoint{s.Iter, s.HPWL}, m.cfg.Window)
-	if m.cfg.StallWindow > 0 {
-		m.over = pushWindow(m.over, histPoint{s.Iter, s.Overflow}, m.cfg.StallWindow)
+	m.hpwl = append(m.hpwl, histPoint{s.Iter, s.HPWL})
+	if len(m.hpwl) > window {
+		copy(m.hpwl, m.hpwl[len(m.hpwl)-window:])
+		m.hpwl = m.hpwl[:window]
 	}
 	return nil
 }
@@ -277,25 +164,11 @@ func (m *Monitor) Check(s Sample) *Violation {
 // Rewind drops window entries at or past iter, so a rollback to iter
 // replays against the same history the original pass saw.
 func (m *Monitor) Rewind(iter int) {
-	m.hpwl = trimAfter(m.hpwl, iter)
-	m.over = trimAfter(m.over, iter)
-}
-
-func pushWindow(w []histPoint, p histPoint, max int) []histPoint {
-	w = append(w, p)
-	if len(w) > max {
-		copy(w, w[len(w)-max:])
-		w = w[:max]
-	}
-	return w
-}
-
-func trimAfter(w []histPoint, iter int) []histPoint {
-	n := len(w)
-	for n > 0 && w[n-1].iter >= iter {
+	n := len(m.hpwl)
+	for n > 0 && m.hpwl[n-1].iter >= iter {
 		n--
 	}
-	return w[:n]
+	m.hpwl = m.hpwl[:n]
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -8,11 +8,11 @@ import (
 )
 
 func healthy(iter int, hpwl float64) Sample {
-	return Sample{Iter: iter, Objective: hpwl, HPWL: hpwl, Overflow: 0.5, Step: 1, Pos: []float64{1, 2}}
+	return Sample{Iter: iter, Objective: hpwl, HPWL: hpwl, Pos: []float64{1, 2}}
 }
 
 func TestCheckPassesHealthyTrajectory(t *testing.T) {
-	m := NewMonitor(Config{})
+	var m Monitor
 	for k := 0; k < 100; k++ {
 		if v := m.Check(healthy(k, 1000-float64(k))); v != nil {
 			t.Fatalf("healthy sample tripped at iter %d: %v", k, v)
@@ -21,7 +21,7 @@ func TestCheckPassesHealthyTrajectory(t *testing.T) {
 }
 
 func TestCheckNonFinitePositions(t *testing.T) {
-	m := NewMonitor(Config{})
+	var m Monitor
 	s := healthy(3, 100)
 	s.Pos = []float64{1, math.NaN(), 2}
 	v := m.Check(s)
@@ -38,7 +38,7 @@ func TestCheckNonFinitePositions(t *testing.T) {
 }
 
 func TestCheckNonFiniteObjective(t *testing.T) {
-	m := NewMonitor(Config{})
+	var m Monitor
 	s := healthy(0, 100)
 	s.Objective = math.NaN()
 	if v := m.Check(s); v == nil || v.Kind != KindNonFiniteObjective {
@@ -47,25 +47,25 @@ func TestCheckNonFiniteObjective(t *testing.T) {
 }
 
 func TestCheckHPWLExplosion(t *testing.T) {
-	m := NewMonitor(Config{Window: 4, Growth: 2})
-	for k := 0; k < 4; k++ {
+	var m Monitor
+	for k := 0; k < window; k++ {
 		if v := m.Check(healthy(k, 100)); v != nil {
 			t.Fatalf("warmup tripped: %v", v)
 		}
 	}
-	// 199 < 2×100: fine. 201 > 2×100: trips.
-	if v := m.Check(healthy(4, 199)); v != nil {
+	// Just under growth×100: fine. Just over: trips.
+	if v := m.Check(healthy(window, 100*growth-1)); v != nil {
 		t.Fatalf("sub-threshold growth tripped: %v", v)
 	}
-	v := m.Check(healthy(5, 201))
+	v := m.Check(healthy(window+1, 100*growth+1))
 	if v == nil || v.Kind != KindHPWLExplosion {
 		t.Fatalf("violation = %v, want %s", v, KindHPWLExplosion)
 	}
-	if v.Limit != 200 {
-		t.Errorf("Limit = %g, want 200", v.Limit)
+	if v.Limit != 100*growth {
+		t.Errorf("Limit = %g, want %d", v.Limit, 100*growth)
 	}
 	// NaN HPWL also maps to explosion, before any window math.
-	s := healthy(6, 100)
+	s := healthy(window+2, 100)
 	s.HPWL = math.NaN()
 	if v := m.Check(s); v == nil || v.Kind != KindHPWLExplosion {
 		t.Fatalf("NaN HPWL: violation = %v, want %s", v, KindHPWLExplosion)
@@ -73,114 +73,49 @@ func TestCheckHPWLExplosion(t *testing.T) {
 }
 
 func TestViolatingSampleNotAddedToWindow(t *testing.T) {
-	m := NewMonitor(Config{Window: 4, Growth: 2})
+	// A full window: one low sample, then samples right at growth× it.
+	var m Monitor
 	m.Check(healthy(0, 100))
-	if v := m.Check(healthy(1, 500)); v == nil {
+	for k := 1; k < window; k++ {
+		if v := m.Check(healthy(k, 100*growth)); v != nil {
+			t.Fatalf("sample at the limit tripped: %v", v)
+		}
+	}
+	if v := m.Check(healthy(window, 100*growth+1)); v == nil {
 		t.Fatal("explosion not caught")
 	}
-	// Window min must still be 100: 150 stays legal, 201 still trips.
-	if v := m.Check(healthy(2, 150)); v != nil {
-		t.Fatalf("150 tripped after rejected 500: %v", v)
-	}
-	if v := m.Check(healthy(3, 201)); v == nil {
+	// Had the rejected sample entered the full window, it would have pushed
+	// out the low one, and the same value would now pass.
+	if v := m.Check(healthy(window+1, 100*growth+1)); v == nil {
 		t.Fatal("window was polluted by the rejected sample")
 	}
 }
 
-func TestCheckStepCeiling(t *testing.T) {
-	m := NewMonitor(Config{MaxStep: 10})
-	s := healthy(0, 100)
-	s.Step = 11
-	if v := m.Check(s); v == nil || v.Kind != KindStepCeiling {
-		t.Fatalf("violation = %v, want %s", v, KindStepCeiling)
-	}
-	// Disabled by default.
-	m2 := NewMonitor(Config{})
-	s.Step = 1e30
-	if v := m2.Check(s); v != nil {
-		t.Fatalf("step check fired while disabled: %v", v)
-	}
-}
-
-func TestCheckOverflowStall(t *testing.T) {
-	m := NewMonitor(Config{StallWindow: 5, StallDelta: 0.01, StallFloor: 0.2})
-	mk := func(iter int, over float64) Sample {
-		s := healthy(iter, 100)
-		s.Overflow = over
-		return s
-	}
-	// Improving run: no trip.
-	for k := 0; k < 10; k++ {
-		if v := m.Check(mk(k, 1.0-0.02*float64(k))); v != nil {
-			t.Fatalf("improving overflow tripped at %d: %v", k, v)
-		}
-	}
-	// Flat run above the floor: trips once the window fills.
-	m = NewMonitor(Config{StallWindow: 5, StallDelta: 0.01, StallFloor: 0.2})
-	var v *Violation
-	for k := 0; k < 10 && v == nil; k++ {
-		v = m.Check(mk(k, 0.8))
-	}
-	if v == nil || v.Kind != KindOverflowStall {
-		t.Fatalf("flat overflow did not trip: %v", v)
-	}
-	// Flat run below the floor: converged, no trip.
-	m = NewMonitor(Config{StallWindow: 5, StallDelta: 0.01, StallFloor: 0.2})
-	for k := 0; k < 10; k++ {
-		if v := m.Check(mk(k, 0.1)); v != nil {
-			t.Fatalf("below-floor stall tripped: %v", v)
-		}
-	}
-}
-
 func TestRewindReplaysWindow(t *testing.T) {
-	m := NewMonitor(Config{Window: 4, Growth: 2})
-	for k := 0; k < 4; k++ {
+	var m Monitor
+	for k := 0; k < window; k++ {
 		m.Check(healthy(k, 100))
 	}
-	m.Check(healthy(4, 150))
-	m.Rewind(4)
-	// After rewinding iteration 4, the window min is 100 again and the
+	m.Check(healthy(window, 150))
+	m.Rewind(window)
+	// After rewinding iteration window, the window min is 100 again and the
 	// same sample must behave identically to the first pass.
-	if v := m.Check(healthy(4, 150)); v != nil {
+	if v := m.Check(healthy(window, 150)); v != nil {
 		t.Fatalf("replay after rewind tripped: %v", v)
 	}
-	if v := m.Check(healthy(5, 201)); v == nil {
+	if v := m.Check(healthy(window+1, 100*growth+1)); v == nil {
 		t.Fatal("rewind lost the window history")
 	}
 }
 
-func TestWithDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Window != 8 || c.Growth != 10 || c.MaxRetries != 3 || c.Shrink != 0.5 ||
-		c.SnapshotEvery != 10 || c.RingSize != 4 || c.RecoveryWindow != 20 {
-		t.Fatalf("unexpected defaults: %+v", c)
-	}
-	if c.StallWindow != 0 || c.MaxStep != 0 {
-		t.Fatalf("opt-in checks enabled by default: %+v", c)
-	}
-	kept := Config{Window: 3, Shrink: 0.25, RecoveryWindow: 7}.withDefaults()
-	if kept.Window != 3 || kept.Shrink != 0.25 || kept.RecoveryWindow != 7 {
-		t.Fatalf("explicit values overwritten: %+v", kept)
-	}
-}
-
 func TestValidate(t *testing.T) {
-	good := []Config{{}, {Window: 5, Growth: 3, MaxRetries: 1, Shrink: 1}}
-	for _, c := range good {
+	for _, c := range []Config{{}, {MaxRetries: 1}} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", c, err)
 		}
 	}
-	bad := []Config{
-		{Window: -1}, {Growth: -2}, {StallWindow: -1}, {MaxStep: -1},
-		{MaxRetries: -1}, {Shrink: -0.5}, {Shrink: 1.5}, {Shrink: math.NaN()},
-		{SnapshotEvery: -1}, {RingSize: -1}, {RecoveryWindow: -1},
-	}
-	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("Validate(%+v) = nil, want error", c)
-		}
+	if c := (Config{MaxRetries: -1}); c.Validate() == nil {
+		t.Errorf("Validate(%+v) = nil, want error", c)
 	}
 }
 

@@ -18,7 +18,8 @@ type Evaluate func(pos, grad []float64) float64
 // Project restricts a parameter vector to the feasible set in place.
 type Project func(pos []float64)
 
-// Optimizer advances a parameter vector one iteration at a time.
+// Optimizer advances a parameter vector one iteration at a time and can be
+// checkpointed mid-run.
 type Optimizer interface {
 	// Step performs one iteration and returns the objective value
 	// observed during the step.
@@ -26,14 +27,11 @@ type Optimizer interface {
 	// Pos returns the current (primary) iterate. The slice is owned by
 	// the optimizer; callers must copy if they mutate.
 	Pos() []float64
-}
-
-// StepSizer is implemented by optimizers that can report the step size used
-// by their most recent Step; observability layers record it as a convergence
-// diagnostic (the Barzilai-Borwein alpha for Nesterov, the fixed learning
-// rate for the baselines).
-type StepSizer interface {
-	LastStepSize() float64
+	// Snapshot returns a deep copy of the optimizer's internal state.
+	Snapshot() State
+	// Restore overwrites the optimizer's state from a Snapshot taken from
+	// an optimizer of the same kind and dimension.
+	Restore(State) error
 }
 
 // norm2 returns the Euclidean norm of x.
@@ -206,9 +204,6 @@ func NewMomentum(x0 []float64, lr, beta float64, project Project) *Momentum {
 // Pos returns the current iterate.
 func (o *Momentum) Pos() []float64 { return o.x }
 
-// LastStepSize returns the (fixed) learning rate.
-func (o *Momentum) LastStepSize() float64 { return o.LR }
-
 // Step performs one momentum update.
 func (o *Momentum) Step(eval Evaluate) float64 {
 	val := eval(o.x, o.g)
@@ -251,9 +246,6 @@ func NewAdam(x0 []float64, lr float64, project Project) *Adam {
 
 // Pos returns the current iterate.
 func (o *Adam) Pos() []float64 { return o.x }
-
-// LastStepSize returns the (fixed) base learning rate.
-func (o *Adam) LastStepSize() float64 { return o.LR }
 
 // Step performs one Adam update.
 func (o *Adam) Step(eval Evaluate) float64 {

@@ -19,16 +19,6 @@ type State struct {
 	Vectors [][]float64
 }
 
-// Stateful is implemented by optimizers that can be checkpointed mid-run.
-type Stateful interface {
-	Optimizer
-	// Snapshot returns a deep copy of the optimizer's internal state.
-	Snapshot() State
-	// Restore overwrites the optimizer's state from a Snapshot taken from
-	// an optimizer of the same kind and dimension.
-	Restore(State) error
-}
-
 // checkShape validates the common State invariants before a Restore.
 func checkShape(s State, kind string, scalars, ints, bools, vectors, dim int) error {
 	if s.Kind != kind {

@@ -48,11 +48,11 @@ func TestSnapshotRestoreBitExact(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		make func() Stateful
+		make func() Optimizer
 	}{
-		{"nesterov", func() Stateful { return NewNesterov(startVec(n), 0.1, project) }},
-		{"adam", func() Stateful { return NewAdam(startVec(n), 0.05, project) }},
-		{"momentum", func() Stateful { return NewMomentum(startVec(n), 0.01, 0.9, project) }},
+		{"nesterov", func() Optimizer { return NewNesterov(startVec(n), 0.1, project) }},
+		{"adam", func() Optimizer { return NewAdam(startVec(n), 0.05, project) }},
+		{"momentum", func() Optimizer { return NewMomentum(startVec(n), 0.01, 0.9, project) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,27 +10,39 @@ import (
 	"repro/internal/optimizer"
 )
 
-// guardian wires a guard.Monitor into the placement loop: it keeps a ring
-// of recent in-memory snapshots (the same checkpoint.Snapshot the on-disk
-// path uses, so optimizer, schedules, and scalars all rewind together),
-// and on an invariant violation rolls the run back to the newest snapshot,
+// The guard's rollback policy: the kept snapshot is refreshed every
+// snapshotEvery iterations; retry r of a divergence episode replays at
+// shrink^(r-1) of the step; an episode closes recoveryWindow clean
+// iterations after the iteration it rolled back to; and a zero
+// guard.Config.MaxRetries selects defaultMaxRetries.
+const (
+	snapshotEvery     = 10
+	shrink            = 0.5
+	recoveryWindow    = 2 * snapshotEvery
+	defaultMaxRetries = 3
+)
+
+// guardian wires a guard.Monitor into the placement loop: it keeps the
+// newest snapshot the checks vouched for (the same checkpoint.Snapshot the
+// on-disk path uses, so optimizer, schedules, and scalars all rewind
+// together), and on an invariant violation rolls the run back to it,
 // shrinking the optimizer step with exponential backoff on repeated trips
 // within one divergence episode.
 //
 // Retry accounting is per episode: trips escalate the shrink factor until
-// either the run survives RecoveryWindow clean iterations (the cap is
+// either the run survives recoveryWindow clean iterations (the cap is
 // released and the budget resets) or the budget is exhausted and the run
 // fails with guard.DivergenceError — after restoring the last good
 // snapshot, so the caller never sees non-finite positions.
 type guardian struct {
 	en  *engine
-	cfg guard.Config // effective config (defaults applied)
-	mon *guard.Monitor
+	cfg guard.Config // MaxRetries resolved
+	mon guard.Monitor
 	lu  *LambdaUpdater
 	res *Result
 	o   *obs.Observer
 
-	ring []*checkpoint.Snapshot // oldest → newest, len <= cfg.RingSize
+	last *checkpoint.Snapshot // rollback target
 
 	trips      int // violations in the current episode
 	capUntil   int // iteration at which the current episode ends cleanly
@@ -48,12 +60,14 @@ type guardian struct {
 func newGuardian(en *engine, cfg *guard.Config, lu *LambdaUpdater, res *Result, opt optimizer.Optimizer) *guardian {
 	g := &guardian{
 		en:  en,
-		mon: guard.NewMonitor(*cfg),
+		cfg: *cfg,
 		lu:  lu,
 		res: res,
 		o:   en.cfg.Obs,
 	}
-	g.cfg = g.mon.Config()
+	if g.cfg.MaxRetries == 0 {
+		g.cfg.MaxRetries = defaultMaxRetries
+	}
 	switch v := opt.(type) {
 	case *optimizer.Nesterov:
 		g.baseAlphaMax = v.AlphaMax
@@ -77,52 +91,29 @@ func (g *guardian) count(name string) {
 	}
 }
 
-// maybeSnapshot captures the loop state at the top of iteration k (which
-// the previous iteration's check vouched for) on the SnapshotEvery cadence,
-// or immediately when the ring is still empty. Post-rollback replays skip
-// the capture: the tail entry already holds that iteration.
+// maybeSnapshot keeps the loop state at the top of iteration k (which the
+// previous iteration's check vouched for) on the snapshotEvery cadence, and
+// at the first guarded iteration. A replay after a rollback skips the
+// capture: the kept snapshot already holds that iteration.
 func (g *guardian) maybeSnapshot(k int, opt optimizer.Optimizer) {
-	if len(g.ring) > 0 {
-		if k%g.cfg.SnapshotEvery != 0 || g.ring[len(g.ring)-1].Iter == k {
-			return
-		}
-	}
-	snap, err := g.en.snapshot(k, opt, g.lu, g.res)
-	if err != nil {
-		g.o.Logger().Warn("guard: snapshot failed", "iter", k, "err", err)
+	if g.last != nil && (k%snapshotEvery != 0 || g.last.Iter == k) {
 		return
 	}
-	g.ring = append(g.ring, snap)
-	if len(g.ring) > g.cfg.RingSize {
-		copy(g.ring, g.ring[1:])
-		g.ring[len(g.ring)-1] = nil
-		g.ring = g.ring[:len(g.ring)-1]
-	}
+	g.last = g.en.snapshot(k, opt, g.lu, g.res)
 }
 
 // check runs the per-iteration invariants after the optimizer step of
 // iteration k. hpwl is the exact HPWL of the current positions, computed
 // once per iteration by the placement loop and shared with trajectory
-// recording (it used to be re-derived here, doubling the probe whenever the
-// guard and the recorder ran in the same iteration). All reads are
-// side-effect free with respect to the run, so an enabled-but-never-
-// tripping guard leaves the trajectory bit-identical to a guardless run.
+// recording. All reads are side-effect free with respect to the run, so an
+// enabled-but-never-tripping guard leaves the trajectory bit-identical to a
+// guardless run.
 func (g *guardian) check(k int, obj, hpwl float64, opt optimizer.Optimizer) *guard.Violation {
-	pos := opt.Pos()
-	step := 0.0
-	if ss, ok := opt.(optimizer.StepSizer); ok {
-		step = ss.LastStepSize()
-	}
-	v := g.mon.Check(guard.Sample{
-		Iter:      k,
-		Objective: obj,
-		HPWL:      hpwl,
-		Overflow:  g.en.overflow,
-		Step:      step,
-		Pos:       pos,
-	})
-	if v == nil && step > 0 && !math.IsInf(step, 0) && !math.IsNaN(step) {
-		g.lastGoodStep = step
+	v := g.mon.Check(guard.Sample{Iter: k, Objective: obj, HPWL: hpwl, Pos: opt.Pos()})
+	if nes, ok := opt.(*optimizer.Nesterov); ok && v == nil {
+		if step := nes.LastStepSize(); step > 0 && !math.IsInf(step, 0) {
+			g.lastGoodStep = step
+		}
 	}
 	return v
 }
@@ -144,21 +135,13 @@ func (g *guardian) handle(k int, v *guard.Violation, opt optimizer.Optimizer) (i
 	sp := g.o.StartPhase(obs.PhaseGuardRollback)
 	defer sp.End()
 
-	snap := g.latestSnapshot()
-	if snap == nil {
-		g.count("guard_failures")
-		g.emit(guard.Event{Kind: guard.EventFail, Iter: k, RestoredIter: -1, Retry: g.trips, Violation: v})
-		return 0, &guard.DivergenceError{
-			Violations: append([]guard.Violation(nil), g.violations...),
-			Retries:    g.trips - 1,
-			LastGood:   -1,
-		}
-	}
 	// Restore even when the budget is already exhausted: the caller gets
 	// the last good state, never the diverged one.
-	if err := g.restoreTo(snap, opt); err != nil {
+	snap := g.last
+	if err := g.en.restore(snap, opt, g.lu, g.res); err != nil {
 		return 0, fmt.Errorf("placer: guard rollback to iteration %d: %w", snap.Iter, err)
 	}
+	g.mon.Rewind(snap.Iter)
 	if g.trips > g.cfg.MaxRetries {
 		g.count("guard_failures")
 		g.emit(guard.Event{Kind: guard.EventFail, Iter: k, RestoredIter: snap.Iter, Retry: g.trips, Violation: v})
@@ -170,72 +153,18 @@ func (g *guardian) handle(k int, v *guard.Violation, opt optimizer.Optimizer) (i
 			LastGood:   snap.Iter,
 		}
 	}
-	// Retry r replays at Shrink^(r-1): the first rollback runs at full
+	// Retry r replays at shrink^(r-1): the first rollback runs at full
 	// step, so a pure transient (one poisoned evaluation) is absorbed with
 	// zero distortion of the trajectory; persistent trouble backs off
 	// exponentially.
-	factor := math.Pow(g.cfg.Shrink, float64(g.trips-1))
+	factor := math.Pow(shrink, float64(g.trips-1))
 	g.applyCap(opt, factor)
-	g.capUntil = snap.Iter + g.cfg.RecoveryWindow
+	g.capUntil = snap.Iter + recoveryWindow
 	g.res.GuardRollbacks++
 	g.count("guard_rollbacks")
 	g.emit(guard.Event{Kind: guard.EventRollback, Iter: k, RestoredIter: snap.Iter, Retry: g.trips, Shrink: factor, Violation: v})
 	logger.Warn("guard: rolled back", "from", k, "to", snap.Iter, "shrink", factor, "retry", g.trips)
 	return snap.Iter, nil
-}
-
-// latestSnapshot returns the rollback target: the newest ring entry, or —
-// if the ring is somehow empty — the newest matching on-disk checkpoint.
-func (g *guardian) latestSnapshot() *checkpoint.Snapshot {
-	if n := len(g.ring); n > 0 {
-		return g.ring[n-1]
-	}
-	if dir := g.en.cfg.Checkpoint.Dir; dir != "" {
-		fp := g.en.fingerprint()
-		snap, path, err := checkpoint.LoadLatestMatching(dir, func(s *checkpoint.Snapshot) error {
-			return fp.Match(s.Fingerprint)
-		})
-		if err == nil {
-			g.o.Logger().Info("guard: falling back to on-disk snapshot", "path", path, "iter", snap.Iter)
-			return snap
-		}
-	}
-	return nil
-}
-
-// restoreTo rewinds optimizer, engine scalars, schedules, trajectory, and
-// the monitor windows to a snapshot taken earlier in this same run (no
-// fingerprint re-check needed for ring entries; disk fallbacks were
-// already matched by latestSnapshot).
-func (g *guardian) restoreTo(snap *checkpoint.Snapshot, opt optimizer.Optimizer) error {
-	st, ok := opt.(optimizer.Stateful)
-	if !ok {
-		return fmt.Errorf("optimizer %T does not support rollback", opt)
-	}
-	if err := st.Restore(snap.Opt); err != nil {
-		return err
-	}
-	en := g.en
-	en.param = snap.Param
-	en.lambda = snap.Lambda
-	en.overflow = snap.Overflow
-	en.lastEnergy = snap.LastEnergy
-	// Drop the kept evaluation: it may hold a transient fault the rollback
-	// is meant to undo.
-	en.key = en.key[:0]
-	g.lu.RestoreState(snap.LambdaSched)
-	en.unpack(opt.Pos())
-	// Drop everything recorded in the abandoned future, so the replay
-	// appends over a trajectory identical to a run that never diverged.
-	tr := g.res.Trajectory
-	n := len(tr)
-	for n > 0 && tr[n-1].Iter >= snap.Iter {
-		n--
-	}
-	g.res.Trajectory = tr[:n]
-	g.res.Iterations = snap.Iter
-	g.mon.Rewind(snap.Iter)
-	return nil
 }
 
 // applyCap shrinks the optimizer step by factor. It runs after Restore

@@ -81,8 +81,7 @@ func TestKillAtEveryIterationSweep(t *testing.T) {
 }
 
 // TestResumeDirColdStartAndMismatch ResumeDir with an empty directory (or
-// only mismatched snapshots) cold-starts instead of failing, and
-// Resume+ResumeDir together are rejected by Validate.
+// only mismatched snapshots) cold-starts instead of failing.
 func TestResumeDirColdStartAndMismatch(t *testing.T) {
 	cfg := resumeBase()
 	cfg.MaxIters = 5
@@ -114,12 +113,5 @@ func TestResumeDirColdStartAndMismatch(t *testing.T) {
 	}
 	if res2.ResumedFrom != 0 {
 		t.Errorf("ResumedFrom = %d, want 0 (mismatch skipped)", res2.ResumedFrom)
-	}
-
-	bad := resumeBase()
-	bad.ResumeDir = dir
-	bad.Resume = &checkpoint.Snapshot{}
-	if err := bad.Validate(); err == nil {
-		t.Error("Validate accepted Resume and ResumeDir together")
 	}
 }

@@ -186,7 +186,7 @@ func TestObsCancelCheckpointRace(t *testing.T) {
 		t.Fatalf("cancel snapshot at iteration %d, want >= 10", snap.Iter)
 	}
 	c := resumeBase()
-	c.Resume = snap
+	c.ResumeDir = dir
 	res, err := Place(testDesign(t, 60, 0), c)
 	if err != nil {
 		t.Fatalf("resume after observed cancel: %v", err)

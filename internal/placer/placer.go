@@ -97,16 +97,11 @@ type Config struct {
 	// Checkpoint enables periodic crash-safe snapshots of the run state
 	// (see CheckpointConfig in resume.go).
 	Checkpoint CheckpointConfig
-	// Resume warm-starts the run from a snapshot instead of the usual
-	// initialization. The snapshot's config fingerprint must match this
-	// run (same design, grid, model, optimizer, seed); otherwise
-	// PlaceContext fails with checkpoint.ErrMismatch. With a matching setup
-	// the resumed run finishes bit-identical to an uninterrupted one.
-	Resume *checkpoint.Snapshot
 	// ResumeDir warm-starts the run from the newest snapshot in this
-	// directory whose config fingerprint matches the run, scanning
-	// backwards past corrupt or mismatched files; when nothing matches the
-	// run cold-starts (no error). Mutually exclusive with Resume.
+	// directory whose config fingerprint matches the run (same design,
+	// grid, model, optimizer, seed), scanning backwards past corrupt or
+	// mismatched files; when nothing matches the run cold-starts (no
+	// error). A resumed run finishes bit-identical to an uninterrupted one.
 	ResumeDir string
 	// Freeze, when non-nil, must have one entry per design cell and marks
 	// movable cells that this run must NOT move: an ECO warm start releases
@@ -120,11 +115,11 @@ type Config struct {
 	// Init "keep" so the released cells start from the cached placement.
 	Freeze []bool
 	// Guard, when non-nil, enables the divergence guard: per-iteration
-	// numerical-health checks (finite positions/objective, HPWL growth vs.
-	// a trailing window, optional overflow-stall and step-ceiling checks)
-	// with automatic rollback to an in-memory snapshot ring, step
-	// shrinking with exponential backoff on repeated trips, and a typed
-	// guard.DivergenceError once the retry budget is exhausted.
+	// numerical-health checks (finite positions, finite objective, HPWL
+	// growth vs. a trailing window) with automatic rollback to the last
+	// good in-memory snapshot, step shrinking with exponential backoff on
+	// repeated trips, and a typed guard.DivergenceError once the retry
+	// budget is exhausted.
 	// &guard.Config{} selects all defaults. A nil Guard costs one pointer
 	// check per iteration and leaves results bit-identical.
 	Guard *guard.Config
@@ -144,15 +139,8 @@ func DefaultConfig(m wirelength.Model) Config {
 }
 
 // TrajectoryPoint is one sample of the Fig. 3 curve: exact HPWL against
-// density overflow during global placement.
-type TrajectoryPoint struct {
-	Iter      int
-	Overflow  float64
-	HPWL      float64
-	Objective float64
-	Param     float64 // smoothing parameter (gamma or t) from Overflow; the next step's gradient uses it
-	Lambda    float64
-}
+// density overflow during global placement. Snapshots record it as is.
+type TrajectoryPoint = checkpoint.TrajectoryPoint
 
 // Result summarizes a global placement run. All durations are measured with
 // the monotonic clock (time.Since on a single start reading), so they stay
@@ -171,7 +159,7 @@ type Result struct {
 	// Stopped reports that the OnIteration hook ended the run early.
 	Stopped bool
 	// ResumedFrom is the iteration the run was warm-started at via
-	// Config.Resume (0 for a cold start).
+	// Config.ResumeDir (0 for a cold start).
 	ResumedFrom int
 	// Checkpoints counts the snapshots written during this run.
 	Checkpoints int
@@ -306,9 +294,6 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Dir == "" {
 		return fmt.Errorf("placer: Checkpoint.Every is set but Checkpoint.Dir is empty")
-	}
-	if cfg.Resume != nil && cfg.ResumeDir != "" {
-		return fmt.Errorf("placer: Resume and ResumeDir are both set; pick one")
 	}
 	if cfg.Guard != nil {
 		if err := cfg.Guard.Validate(); err != nil {
@@ -536,35 +521,48 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 		return nil, err
 	}
 
-	if cfg.Resume == nil && cfg.ResumeDir != "" {
+	var snap *checkpoint.Snapshot
+	if cfg.ResumeDir != "" {
 		fp := en.fingerprint()
-		snap, path, lerr := checkpoint.LoadLatestMatching(cfg.ResumeDir, func(s *checkpoint.Snapshot) error {
+		found, path, err := checkpoint.LoadLatestMatching(cfg.ResumeDir, func(s *checkpoint.Snapshot) error {
 			return fp.Match(s.Fingerprint)
 		})
 		switch {
-		case lerr == nil:
-			cfg.Resume = snap
+		case err == nil:
+			snap = found
 			logger.Info("gp: resume dir matched snapshot", "path", path, "iter", snap.Iter)
-		case errors.Is(lerr, checkpoint.ErrNoSnapshot):
+		case errors.Is(err, checkpoint.ErrNoSnapshot):
 			logger.Info("gp: resume dir has no matching snapshot; cold start", "dir", cfg.ResumeDir)
 		default:
-			return nil, fmt.Errorf("placer: resume dir: %w", lerr)
+			return nil, fmt.Errorf("placer: resume dir: %w", err)
 		}
 	}
 
+	var opt optimizer.Optimizer
+	binScale := en.grid.BinW + en.grid.BinH
+	switch cfg.optimizerName() { // Validate has rejected unknown names
+	case "adam":
+		// Adam's normalized step moves each coordinate by up to LR per
+		// iteration; half a bin keeps spreading stable.
+		opt = optimizer.NewAdam(pos, 0.25*binScale, en.project)
+	case "momentum":
+		opt = optimizer.NewMomentum(pos, 1e-2*binScale, 0.9, en.project)
+	default:
+		opt = optimizer.NewNesterov(pos, 1e-3*binScale, en.project)
+	}
 	lu := NewLambdaUpdater()
-	startIter := 0
+	res := &Result{ReleasedCells: len(en.mov), FrozenCells: en.numFrozen}
 	var prevSetup, prevLoop float64
-	if cfg.Resume != nil {
+	if snap != nil {
 		// Warm start: skip initialization and lambda calibration entirely;
 		// every scheduled quantity comes from the snapshot.
-		if err := en.restore(pos, cfg.Resume, lu); err != nil {
-			return nil, err
+		if err := en.restore(snap, opt, lu, res); err != nil {
+			return nil, fmt.Errorf("placer: resume: %w", err)
 		}
-		startIter = cfg.Resume.Iter
-		prevSetup = cfg.Resume.SetupSeconds
-		prevLoop = cfg.Resume.LoopSeconds
-		logger.Info("gp: resuming from checkpoint", "design", d.Name, "iter", startIter, "overflow", en.overflow)
+		res.ResumedFrom = snap.Iter
+		prevSetup = snap.SetupSeconds
+		prevLoop = snap.LoopSeconds
+		logger.Info("gp: resuming from checkpoint", "design", d.Name, "iter", snap.Iter, "overflow", en.overflow)
 	} else {
 		// Measure the initial overflow and calibrate lambda0 from the ratio
 		// of wirelength to density gradient magnitudes (ePlace). The kept
@@ -584,32 +582,6 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 		"grid", fmt.Sprintf("%dx%d", en.grid.Nx, en.grid.Ny),
 		"fillers", en.numFillers, "lambda0", en.lambda, "overflow0", en.overflow)
 
-	var opt optimizer.Optimizer
-	binScale := en.grid.BinW + en.grid.BinH
-	switch cfg.optimizerName() { // Validate has rejected unknown names
-	case "adam":
-		// Adam's normalized step moves each coordinate by up to LR per
-		// iteration; half a bin keeps spreading stable.
-		opt = optimizer.NewAdam(pos, 0.25*binScale, en.project)
-	case "momentum":
-		opt = optimizer.NewMomentum(pos, 1e-2*binScale, 0.9, en.project)
-	default:
-		opt = optimizer.NewNesterov(pos, 1e-3*binScale, en.project)
-	}
-
-	res := &Result{ReleasedCells: len(en.mov), FrozenCells: en.numFrozen}
-	if cfg.Resume != nil {
-		st, ok := opt.(optimizer.Stateful)
-		if !ok {
-			return nil, fmt.Errorf("placer: optimizer %T does not support resume", opt)
-		}
-		if err := st.Restore(cfg.Resume.Opt); err != nil {
-			return nil, fmt.Errorf("placer: resume: %w", err)
-		}
-		res.ResumedFrom = startIter
-		res.Iterations = startIter
-		res.Trajectory = resumeTrajectory(cfg.Resume)
-	}
 	var grd *guardian
 	if cfg.Guard != nil {
 		grd = newGuardian(en, cfg.Guard, lu, res, opt)
@@ -650,12 +622,10 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 		if cfg.Checkpoint.Dir == "" {
 			return nil
 		}
-		snap, err := en.snapshot(iter, opt, lu, res)
-		if err == nil {
-			snap.SetupSeconds = res.SetupSeconds
-			snap.LoopSeconds = prevLoop + time.Since(loopStart).Seconds()
-			_, err = checkpoint.WriteRotating(cfg.Checkpoint.Dir, snap, cfg.Checkpoint.keepOrDefault())
-		}
+		snap := en.snapshot(iter, opt, lu, res)
+		snap.SetupSeconds = res.SetupSeconds
+		snap.LoopSeconds = prevLoop + time.Since(loopStart).Seconds()
+		_, err := checkpoint.WriteRotating(cfg.Checkpoint.Dir, snap, cfg.Checkpoint.keepOrDefault())
 		if err == nil {
 			res.Checkpoints++
 			logger.Debug("gp: checkpoint written", "iter", iter)
@@ -668,7 +638,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 		return fmt.Errorf("placer: checkpoint at iteration %d: %w", iter, err)
 	}
 
-	for k := startIter; k < cfg.MaxIters; k++ {
+	for k := res.ResumedFrom; k < cfg.MaxIters; k++ {
 		if err := ctx.Err(); err != nil {
 			// Persist the freshest state so a graceful drain can resume
 			// exactly where the run stopped.

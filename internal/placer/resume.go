@@ -1,8 +1,8 @@
 package placer
 
 import (
-	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/optimizer"
@@ -93,21 +93,10 @@ func FreezeHash(freeze []bool) uint64 {
 
 // snapshot captures the loop state at an iteration boundary: iter is the
 // number of completed iterations, i.e. the next iteration index to run.
-func (en *engine) snapshot(iter int, opt optimizer.Optimizer, lu *LambdaUpdater, res *Result) (*checkpoint.Snapshot, error) {
-	st, ok := opt.(optimizer.Stateful)
-	if !ok {
-		return nil, fmt.Errorf("placer: optimizer %T does not support checkpointing", opt)
-	}
+func (en *engine) snapshot(iter int, opt optimizer.Optimizer, lu *LambdaUpdater, res *Result) *checkpoint.Snapshot {
 	evals := iter
 	if nes, ok := opt.(*optimizer.Nesterov); ok {
 		evals = nes.EvalCount()
-	}
-	traj := make([]checkpoint.TrajectoryPoint, len(res.Trajectory))
-	for i, p := range res.Trajectory {
-		traj[i] = checkpoint.TrajectoryPoint{
-			Iter: p.Iter, Overflow: p.Overflow, HPWL: p.HPWL,
-			Objective: p.Objective, Param: p.Param, Lambda: p.Lambda,
-		}
 	}
 	return &checkpoint.Snapshot{
 		Fingerprint: en.fingerprint(),
@@ -118,48 +107,30 @@ func (en *engine) snapshot(iter int, opt optimizer.Optimizer, lu *LambdaUpdater,
 		Overflow:    en.overflow,
 		LastEnergy:  en.lastEnergy,
 		LambdaSched: lu.State(),
-		Pos:         append([]float64(nil), opt.Pos()...),
-		Opt:         st.Snapshot(),
-		Trajectory:  traj,
-	}, nil
+		Pos:         slices.Clone(opt.Pos()),
+		Opt:         opt.Snapshot(),
+		Trajectory:  slices.Clone(res.Trajectory),
+	}
 }
 
-// restore warm-starts the engine from a snapshot: positions, smoothing
-// parameter, density weight, lambda-updater state, and the last observed
-// overflow/energy. The optimizer is restored separately (it is constructed
-// after the engine). Fails with checkpoint.ErrMismatch when the snapshot
-// came from a different run setup.
-func (en *engine) restore(pos []float64, snap *checkpoint.Snapshot, lu *LambdaUpdater) error {
-	if err := en.fingerprint().Match(snap.Fingerprint); err != nil {
-		return fmt.Errorf("placer: resume: %w", err)
+// restore rewinds the run to a snapshot of the same setup, taken earlier in
+// this run (a guard rollback) or by an earlier run (a resume): the optimizer,
+// the smoothing parameter, density weight, overflow and energy, the
+// lambda-updater state, the recorded trajectory and the iteration count.
+// The kept evaluation is dropped: it may hold a transient fault a rollback
+// is meant to undo.
+func (en *engine) restore(snap *checkpoint.Snapshot, opt optimizer.Optimizer, lu *LambdaUpdater, res *Result) error {
+	if err := opt.Restore(snap.Opt); err != nil {
+		return err
 	}
-	if len(snap.Pos) != len(pos) {
-		return fmt.Errorf("placer: resume: %w: position vector has %d entries, run needs %d",
-			checkpoint.ErrCorrupt, len(snap.Pos), len(pos))
-	}
-	copy(pos, snap.Pos)
 	en.param = snap.Param
 	en.lambda = snap.Lambda
 	en.overflow = snap.Overflow
 	en.lastEnergy = snap.LastEnergy
+	en.key = en.key[:0]
 	lu.RestoreState(snap.LambdaSched)
-	en.unpack(pos)
+	en.unpack(opt.Pos())
+	res.Trajectory = append(res.Trajectory[:0], snap.Trajectory...)
+	res.Iterations = snap.Iter
 	return nil
-}
-
-// resumeTrajectory converts the snapshot's recorded trajectory back into
-// placer points, so the resumed run's final trajectory matches the
-// uninterrupted one.
-func resumeTrajectory(snap *checkpoint.Snapshot) []TrajectoryPoint {
-	if len(snap.Trajectory) == 0 {
-		return nil
-	}
-	out := make([]TrajectoryPoint, len(snap.Trajectory))
-	for i, p := range snap.Trajectory {
-		out[i] = TrajectoryPoint{
-			Iter: p.Iter, Overflow: p.Overflow, HPWL: p.HPWL,
-			Objective: p.Objective, Param: p.Param, Lambda: p.Lambda,
-		}
-	}
-	return out
 }

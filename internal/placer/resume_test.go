@@ -78,7 +78,7 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 			dC := testDesign(t, 80, 0)
 			cfgC := resumeBase()
 			cfgC.Workers = tc.resumed
-			cfgC.Resume = snap
+			cfgC.ResumeDir = dir
 			resC, err := Place(dC, cfgC)
 			if err != nil {
 				t.Fatal(err)
@@ -113,8 +113,9 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 }
 
 // TestResumeRejectsMismatchedConfig resume under a different model, grid,
-// optimizer, seed, or design must fail with checkpoint.ErrMismatch: bit-exact
-// resume holds only for the identical setup.
+// optimizer, seed, or design must skip the snapshot and cold-start: bit-exact
+// resume holds only for the identical setup, so every one of these fields is
+// in the fingerprint.
 func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	dir := t.TempDir()
 	d := testDesign(t, 60, 0)
@@ -124,9 +125,16 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	if _, err := Place(d, cfg); err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := checkpoint.LoadLatest(dir)
+	// The unmutated setup resumes, so each cold start below is the
+	// fingerprint's doing.
+	same := resumeBase()
+	same.ResumeDir = dir
+	res, err := Place(testDesign(t, 60, 0), same)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.ResumedFrom != 10 {
+		t.Fatalf("unmutated setup resumed from iteration %d, want 10", res.ResumedFrom)
 	}
 
 	cases := []struct {
@@ -141,21 +149,27 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := resumeBase()
-			c.Resume = snap
+			c.ResumeDir = dir
 			tc.mut(&c)
-			_, err := Place(testDesign(t, 60, 0), c)
-			if !errors.Is(err, checkpoint.ErrMismatch) {
-				t.Errorf("err = %v, want checkpoint.ErrMismatch", err)
+			res, err := Place(testDesign(t, 60, 0), c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ResumedFrom != 0 {
+				t.Errorf("ResumedFrom = %d, want 0 (mismatched snapshot skipped)", res.ResumedFrom)
 			}
 		})
 	}
 
 	t.Run("different design", func(t *testing.T) {
 		c := resumeBase()
-		c.Resume = snap
-		_, err := Place(testDesign(t, 90, 0), c)
-		if !errors.Is(err, checkpoint.ErrMismatch) {
-			t.Errorf("err = %v, want checkpoint.ErrMismatch", err)
+		c.ResumeDir = dir
+		res, err := Place(testDesign(t, 90, 0), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ResumedFrom != 0 {
+			t.Errorf("ResumedFrom = %d, want 0 (mismatched snapshot skipped)", res.ResumedFrom)
 		}
 	})
 }
@@ -186,7 +200,7 @@ func TestCheckpointOnCancel(t *testing.T) {
 		t.Fatalf("cancel snapshot at iteration %d, want >= 12", snap.Iter)
 	}
 	c := resumeBase()
-	c.Resume = snap
+	c.ResumeDir = dir
 	c.OnIteration = nil
 	res, err := Place(testDesign(t, 60, 0), c)
 	if err != nil {

@@ -665,39 +665,30 @@ func (m *Manager) run(j *job) {
 	cfg.GP.Obs = o
 	defer m.exportTrace(j, o.Trace)
 	m.log.Info("job started", "job", j.id, "design", d.Name, "model", j.spec.modelName(), "resumes", j.resumes)
+	// ResumeDir warm-starts from the newest fingerprint-matching snapshot and
+	// cold-starts when none matches, so a changed spec or binary degrades to
+	// a fresh run instead of failing the job (the deterministic pipeline
+	// makes a matched resume bit-exact).
 	if m.store != nil {
-		// Durable mode: snapshot periodically into the job's directory,
-		// and warm-start recovered jobs from their latest snapshot. A
-		// missing or mismatched snapshot degrades to a cold start (the
-		// deterministic pipeline makes a matched resume bit-exact, so a
-		// fingerprint mismatch means the spec or binary changed).
-		cfg.GP.Checkpoint = placer.CheckpointConfig{
-			Every: m.cfg.CheckpointEvery,
-			Dir:   m.store.CheckpointDir(j.id),
-		}
+		// Durable mode: snapshot periodically into the job's directory, and
+		// warm-start a recovered job from it once it holds a snapshot. A
+		// directory whose snapshots all fail to decode falls through to the
+		// cross-node pointer below.
+		dir := m.store.CheckpointDir(j.id)
+		cfg.GP.Checkpoint = placer.CheckpointConfig{Every: m.cfg.CheckpointEvery, Dir: dir}
 		if j.resume {
-			if snap, err := m.store.LatestSnapshot(j.id); err == nil {
-				cfg.GP.Resume = snap
+			if _, _, err := checkpoint.LoadLatest(dir); err == nil {
+				cfg.GP.ResumeDir = dir
 			}
 		}
 	}
-	if cfg.GP.Resume == nil && j.spec.Resume != nil && j.spec.Resume.Dir != "" {
+	if cfg.GP.ResumeDir == "" && j.spec.Resume != nil {
 		// Cross-node handoff: the coordinator re-routed this job here with a
 		// pointer at another node's checkpoint directory (shared filesystem).
-		// ResumeDir scans for the newest fingerprint-matching snapshot and
-		// silently cold-starts when nothing matches, so a changed spec or
-		// binary degrades to a fresh run instead of failing the job.
 		cfg.GP.ResumeDir = j.spec.Resume.Dir
 	}
 
 	res, err := core.RunFlowContext(j.ctx, d, cfg)
-	if err != nil && errors.Is(err, checkpoint.ErrMismatch) && cfg.GP.Resume != nil {
-		// The snapshot no longer matches the rebuilt run (e.g. the binary
-		// builds a different grid or filler count than the one that wrote
-		// it): restart cold instead of failing the job.
-		cfg.GP.Resume = nil
-		res, err = core.RunFlowContext(j.ctx, d, cfg)
-	}
 	switch {
 	case err == nil:
 		// Cache the result and count the job before publishing done: a

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/durable"
 )
@@ -183,13 +182,6 @@ func (s *Store) PruneSpecArchive(max int) {
 	for i := 0; i < len(recs)-max; i++ {
 		os.Remove(filepath.Join(dir, recs[i].name)) //nolint:errcheck // best-effort GC
 	}
-}
-
-// LatestSnapshot loads the newest decodable placement snapshot of a job;
-// checkpoint.ErrNoSnapshot when the job never checkpointed.
-func (s *Store) LatestSnapshot(id string) (*checkpoint.Snapshot, error) {
-	snap, _, err := checkpoint.LoadLatest(s.CheckpointDir(id))
-	return snap, err
 }
 
 // Load scans the store and returns every persisted job, sorted by the

@@ -61,8 +61,8 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Errorf("MaxSeq = %d, want 7", got)
 	}
 
-	if _, err := s.LatestSnapshot("job-000007"); !errors.Is(err, checkpoint.ErrNoSnapshot) {
-		t.Errorf("LatestSnapshot without checkpoints: err = %v, want ErrNoSnapshot", err)
+	if _, _, err := checkpoint.LoadLatest(s.CheckpointDir("job-000007")); !errors.Is(err, checkpoint.ErrNoSnapshot) {
+		t.Errorf("LoadLatest without checkpoints: err = %v, want ErrNoSnapshot", err)
 	}
 
 	if err := s.Delete("job-000007"); err != nil {
@@ -137,31 +137,7 @@ func TestManagerRecoversInterruptedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		jv, err := mA.Get(v.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if jv.Progress != nil && jv.Progress.Iteration >= 20 {
-			break
-		}
-		if jv.State.Terminal() {
-			t.Fatalf("job finished before it could be interrupted: %+v", jv)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never reached iteration 20")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	expired, cancel := context.WithDeadline(context.Background(), time.Now())
-	defer cancel()
-	if err := mA.Shutdown(expired); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Shutdown = %v, want DeadlineExceeded (drain cancel)", err)
-	}
-	if got := mA.Telemetry().JobsInterrupted.Value(); got != 1 {
-		t.Errorf("boot A JobsInterrupted = %d, want 1", got)
-	}
+	interruptPast(t, mA, v.ID, 20)
 
 	// The store must show the job as interrupted with a snapshot behind it.
 	store, err := OpenStore(dataDir)
@@ -175,7 +151,7 @@ func TestManagerRecoversInterruptedJob(t *testing.T) {
 	if len(persisted) != 1 || persisted[0].Status.State != StateInterrupted {
 		t.Fatalf("persisted jobs = %+v, want one interrupted", persisted)
 	}
-	snap, err := store.LatestSnapshot(v.ID)
+	snap, _, err := checkpoint.LoadLatest(store.CheckpointDir(v.ID))
 	if err != nil {
 		t.Fatalf("interrupted job has no snapshot: %v", err)
 	}
@@ -203,6 +179,9 @@ func TestManagerRecoversInterruptedJob(t *testing.T) {
 	}
 	if done.Result == nil {
 		t.Fatal("recovered job has no result")
+	}
+	if done.Result.ResumedFrom != snap.Iter {
+		t.Errorf("recovered job resumed from iteration %d, want its snapshot's %d", done.Result.ResumedFrom, snap.Iter)
 	}
 	if done.Result.GPIters != iters {
 		t.Errorf("recovered job ran %d GP iterations, want %d", done.Result.GPIters, iters)
@@ -250,6 +229,111 @@ func TestManagerRecoversInterruptedJob(t *testing.T) {
 	}
 	if got := mC.Telemetry().JobsRecovered.Value(); got != 0 {
 		t.Errorf("boot C re-enqueued finished jobs: JobsRecovered = %d", got)
+	}
+}
+
+// interruptPast lets job id of a durable manager run past iteration iter,
+// then shuts the manager down with an expired budget, so the drain cancels
+// the job mid-flight and persists it as interrupted.
+func interruptPast(t *testing.T, m *Manager, id string, iter int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		jv, err := m.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jv.Progress != nil && jv.Progress.Iteration >= iter {
+			break
+		}
+		if jv.State.Terminal() {
+			t.Fatalf("job finished before it could be interrupted: %+v", jv)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never reached iteration %d", iter)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	if err := m.Shutdown(expired); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown = %v, want DeadlineExceeded (drain cancel)", err)
+	}
+	if got := m.Telemetry().JobsInterrupted.Value(); got != 1 {
+		t.Errorf("JobsInterrupted = %d, want 1", got)
+	}
+}
+
+// TestManagerRecoveredJobPrefersOwnSnapshot a recovered job whose spec also
+// carries a cross-node resume.dir resumes from its own checkpoint directory,
+// which holds the newest state of the run, and not from the older snapshot
+// in the foreign directory.
+func TestManagerRecoveredJobPrefersOwnSnapshot(t *testing.T) {
+	const iters = 300
+	root := t.TempDir()
+	dataDir := filepath.Join(root, "node")
+	foreign := filepath.Join(root, "foreign")
+	spec := durableSpec(iters)
+	spec.Resume = &ResumeSpec{Dir: foreign}
+
+	// Boot A: the foreign directory does not exist yet, so the job
+	// cold-starts, checkpoints into its own directory and is interrupted.
+	mA, err := OpenManager(Config{Workers: 1, DataDir: dataDir, CheckpointEvery: 5, ResumeRoot: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := mA.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interruptPast(t, mA, v.ID, 20)
+
+	// The foreign directory receives the job's oldest retained snapshot: it
+	// matches the run, but it is older than the job's own latest one.
+	store, err := OpenStore(dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := store.CheckpointDir(v.ID)
+	latest, _, err := checkpoint.LoadLatest(own)
+	if err != nil {
+		t.Fatalf("interrupted job has no snapshot: %v", err)
+	}
+	names, err := checkpoint.List(own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldest, err := checkpoint.ReadFile(filepath.Join(own, names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oldest.Iter >= latest.Iter {
+		t.Fatalf("oldest snapshot at iteration %d, latest at %d: want an older one", oldest.Iter, latest.Iter)
+	}
+	if _, err := checkpoint.WriteRotating(foreign, oldest, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// Boot B recovers the job; it must continue from its own snapshot.
+	mB, err := OpenManager(Config{Workers: 1, DataDir: dataDir, CheckpointEvery: 5, ResumeRoot: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		mB.Shutdown(ctx) //nolint:errcheck
+	})
+	done := waitState(t, mB, v.ID, StateDone)
+	if done.Result == nil {
+		t.Fatal("recovered job has no result")
+	}
+	if done.Result.ResumedFrom != latest.Iter {
+		t.Errorf("recovered job resumed from iteration %d, want its own latest %d (the foreign snapshot is at %d)",
+			done.Result.ResumedFrom, latest.Iter, oldest.Iter)
+	}
+	if done.Result.GPIters != iters {
+		t.Errorf("recovered job ran %d GP iterations, want %d", done.Result.GPIters, iters)
 	}
 }
 

@@ -27,18 +27,15 @@ func chksPartials(a, b, gamma float64) (da, db float64) {
 
 // bigScratch carries the fold state reused across nets by the model.
 type bigScratch struct {
-	fold []float64 // running smooth-max values m_k
-	da   []float64 // d(m_k)/d(m_{k-1}) at each fold step
-	db   []float64 // d(m_k)/d(x_k) at each fold step
+	da []float64 // d(m_k)/d(m_{k-1}) at each fold step
+	db []float64 // d(m_k)/d(x_k) at each fold step
 }
 
 func (s *bigScratch) ensure(n int) {
-	if cap(s.fold) < n {
-		s.fold = make([]float64, n)
+	if cap(s.da) < n {
 		s.da = make([]float64, n)
 		s.db = make([]float64, n)
 	}
-	s.fold = s.fold[:n]
 	s.da = s.da[:n]
 	s.db = s.db[:n]
 }
@@ -55,13 +52,11 @@ func (s *bigScratch) smoothMaxFold(x []float64, gamma float64, grad []float64, n
 		return x[i]
 	}
 	m := get(0)
-	s.fold[0] = m
 	s.da[0], s.db[0] = 0, 1
 	for k := 1; k < n; k++ {
 		v := get(k)
 		da, db := chksPartials(m, v, gamma)
 		m = CHKS(m, v, gamma)
-		s.fold[k] = m
 		s.da[k], s.db[k] = da, db
 	}
 	if grad != nil {
