@@ -178,9 +178,6 @@ func (g *Grid) StampSmoothed(cx, cy, w, h float64) {
 	g.StampRect(xl, yl, xh, yh, scale)
 }
 
-// TotalDensity returns movable + fixed stamped area in bin i.
-func (g *Grid) TotalDensity(i int) float64 { return g.Density[i] + g.FixedDensity[i] }
-
 // Overflow computes the total density overflow
 //
 //	phi = sum_b max(0, area_b - targetDensity*freeArea_b) / totalMovableArea,

@@ -228,6 +228,9 @@ func (c *Cache) evictLocked() {
 	}
 }
 
+// Options returns the cache's bounds, defaults filled in.
+func (c *Cache) Options() Options { return c.opts }
+
 // Stats reports the cache's current footprint.
 type Stats struct {
 	Entries int

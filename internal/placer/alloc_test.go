@@ -26,10 +26,7 @@ func TestEvalSteadyStateAllocFree(t *testing.T) {
 	d := testDesign(t, 2000, 2)
 	cfg := DefaultConfig(wirelength.NewMoreau())
 	cfg.GridX, cfg.GridY = 64, 64
-	en, pos, err := newEngine(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	en, pos := coldEngine(t, d, cfg)
 	en.lambda = 1e-3
 	grad := make([]float64, len(pos))
 	en.eval(pos, grad) // warm up: lane scratch growth happens here

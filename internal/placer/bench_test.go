@@ -15,10 +15,7 @@ func benchEngine(b *testing.B) (*engine, []float64, []float64) {
 	d := testDesign(b, 6000, 4)
 	cfg := DefaultConfig(wirelength.NewMoreau())
 	cfg.GridX, cfg.GridY = 128, 128
-	en, pos, err := newEngine(d, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	en, pos := coldEngine(b, d, cfg)
 	en.lambda = 1e-3
 	grad := make([]float64, len(pos))
 	for i := 0; i < 3; i++ {

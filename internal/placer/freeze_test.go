@@ -95,13 +95,13 @@ func TestFreezeHashDistinguishesMasks(t *testing.T) {
 	cfg := fastConfig(m)
 	cfg.Freeze = make([]bool, d.NumCells())
 	cfg.Freeze[d.MovableIndices()[0]] = true
-	en1, _, err := newEngine(d, cfg)
+	en1, err := newEngine(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := cfg
 	cfg2.Freeze = nil
-	en2, _, err := newEngine(d.Clone(), cfg2)
+	en2, err := newEngine(d.Clone(), cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}

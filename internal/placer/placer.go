@@ -304,15 +304,17 @@ func (cfg *Config) Validate() error {
 }
 
 // newEngine builds the run state of one global placement: the density grid
-// and spectral solver, fillers, per-entry half dimensions, the initial
-// position vector, and the projection operator. It is the setup phase of
+// and spectral solver, fillers, per-entry half dimensions, and the
+// projection operator. Everything a snapshot's fingerprint names is built
+// here, so a resume can look its snapshot up before, and instead of,
+// building the initial positions (initialPos). It is the setup phase of
 // PlaceContext, split out so tests and benchmarks can drive engine.eval
 // directly. cfg must already be valid and carry its numeric defaults.
-func newEngine(d *netlist.Design, cfg Config) (*engine, []float64, error) {
+func newEngine(d *netlist.Design, cfg Config) (*engine, error) {
 	en := &engine{d: d, wlD: d, cfg: cfg, mov: d.MovableIndices()}
 	if cfg.Freeze != nil {
 		if len(cfg.Freeze) != d.NumCells() {
-			return nil, nil, fmt.Errorf("placer: Freeze has %d entries, design has %d cells", len(cfg.Freeze), d.NumCells())
+			return nil, fmt.Errorf("placer: Freeze has %d entries, design has %d cells", len(cfg.Freeze), d.NumCells())
 		}
 		released := en.mov[:0]
 		for _, c := range en.mov {
@@ -325,7 +327,13 @@ func newEngine(d *netlist.Design, cfg Config) (*engine, []float64, error) {
 		en.mov = released
 	}
 	if len(en.mov) == 0 {
-		return nil, nil, fmt.Errorf("placer: design %q has no movable cells", d.Name)
+		return nil, fmt.Errorf("placer: design %q has no movable cells", d.Name)
+	}
+	if en.numFrozen > 0 && cfg.Init == "quadratic" {
+		// Quadratic placement moves every movable cell, frozen ones too, and
+		// a snapshot does not record frozen cells, so a resume could not
+		// rebuild them.
+		return nil, fmt.Errorf("placer: Init \"quadratic\" would move the cells Freeze pins")
 	}
 	if en.numFrozen > 0 {
 		// Restrict the wirelength model to nets a released cell can still
@@ -388,7 +396,6 @@ func newEngine(d *netlist.Design, cfg Config) (*engine, []float64, error) {
 	en.setupFillers()
 
 	n := len(en.mov) + en.numFillers
-	pos := make([]float64, 2*n)
 	en.halfW = make([]float64, n)
 	en.halfH = make([]float64, n)
 	for i, c := range en.mov {
@@ -400,13 +407,48 @@ func newEngine(d *netlist.Design, cfg Config) (*engine, []float64, error) {
 		en.halfH[len(en.mov)+f] = en.fillerH / 2
 	}
 
+	en.project = func(p []float64) {
+		r := d.Region
+		for i := 0; i < n; i++ {
+			lo, hi := r.XL+en.halfW[i], r.XH-en.halfW[i]
+			if hi < lo {
+				lo, hi = (r.XL+r.XH)/2, (r.XL+r.XH)/2
+			}
+			if p[i] < lo {
+				p[i] = lo
+			} else if p[i] > hi {
+				p[i] = hi
+			}
+			lo, hi = r.YL+en.halfH[i], r.YH-en.halfH[i]
+			if hi < lo {
+				lo, hi = (r.YL+r.YH)/2, (r.YL+r.YH)/2
+			}
+			if p[n+i] < lo {
+				p[n+i] = lo
+			} else if p[n+i] > hi {
+				p[n+i] = hi
+			}
+		}
+	}
+	en.wgx = make([]float64, d.NumCells())
+	en.wgy = make([]float64, d.NumCells())
+	en.fx = make([]float64, n)
+	en.fy = make([]float64, n)
+	en.evalFn = en.eval
+	return en, nil
+}
+
+// initialPos fills pos with the projected positions a cold start begins from.
+func (en *engine) initialPos(pos []float64) error {
+	d, cfg := en.d, en.cfg
+	n := len(en.mov) + en.numFillers
 	// Initial placement: "center" (also "") jitters around the region
 	// center; "keep" and "quadratic" start from the design's positions,
 	// which quadratic placement first overwrites.
 	center := cfg.Init == "" || cfg.Init == "center"
 	if cfg.Init == "quadratic" {
 		if err := quadratic.PlaceB2B(d, quadratic.B2BOptions{}); err != nil {
-			return nil, nil, fmt.Errorf("placer: quadratic init: %w", err)
+			return fmt.Errorf("placer: quadratic init: %w", err)
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -437,37 +479,8 @@ func newEngine(d *netlist.Design, cfg Config) (*engine, []float64, error) {
 		}
 	}
 
-	en.project = func(p []float64) {
-		r := d.Region
-		for i := 0; i < n; i++ {
-			lo, hi := r.XL+en.halfW[i], r.XH-en.halfW[i]
-			if hi < lo {
-				lo, hi = (r.XL+r.XH)/2, (r.XL+r.XH)/2
-			}
-			if p[i] < lo {
-				p[i] = lo
-			} else if p[i] > hi {
-				p[i] = hi
-			}
-			lo, hi = r.YL+en.halfH[i], r.YH-en.halfH[i]
-			if hi < lo {
-				lo, hi = (r.YL+r.YH)/2, (r.YL+r.YH)/2
-			}
-			if p[n+i] < lo {
-				p[n+i] = lo
-			} else if p[n+i] > hi {
-				p[n+i] = hi
-			}
-		}
-	}
 	en.project(pos)
-
-	en.wgx = make([]float64, d.NumCells())
-	en.wgy = make([]float64, d.NumCells())
-	en.fx = make([]float64, n)
-	en.fy = make([]float64, n)
-	en.evalFn = en.eval
-	return en, pos, nil
+	return nil
 }
 
 // Place runs global placement on d (in place) and returns the result.
@@ -516,7 +529,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 
 	start := time.Now()
 	setup := o.StartPhase(obs.PhaseSetup)
-	en, pos, err := newEngine(d, cfg)
+	en, err := newEngine(d, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -535,6 +548,12 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 			logger.Info("gp: resume dir has no matching snapshot; cold start", "dir", cfg.ResumeDir)
 		default:
 			return nil, fmt.Errorf("placer: resume dir: %w", err)
+		}
+	}
+	pos := make([]float64, 2*(len(en.mov)+en.numFillers))
+	if snap == nil { // a resume takes every position from the snapshot
+		if err := en.initialPos(pos); err != nil {
+			return nil, err
 		}
 	}
 

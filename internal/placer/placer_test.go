@@ -32,6 +32,21 @@ func testDesign(t testing.TB, cells int, macros int) *netlist.Design {
 	return d
 }
 
+// coldEngine builds the engine of a cold start on d and its initial
+// positions.
+func coldEngine(t testing.TB, d *netlist.Design, cfg Config) (*engine, []float64) {
+	t.Helper()
+	en, err := newEngine(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := make([]float64, 2*(len(en.mov)+en.numFillers))
+	if err := en.initialPos(pos); err != nil {
+		t.Fatal(err)
+	}
+	return en, pos
+}
+
 func fastConfig(m wirelength.Model) Config {
 	cfg := DefaultConfig(m)
 	cfg.MaxIters = 400
@@ -126,7 +141,7 @@ func TestPlaceTrajectoryRecordsDescent(t *testing.T) {
 		t.Errorf("overflow did not decrease: %g -> %g", first.Overflow, last.Overflow)
 	}
 	// Each sample's smoothing parameter is the one its own overflow sets.
-	en, _, err := newEngine(testDesign(t, 500, 0), cfg)
+	en, err := newEngine(testDesign(t, 500, 0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,6 +112,58 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 	}
 }
 
+// TestQuadraticInitResumeBitExact a resume takes its positions from the
+// snapshot and builds no initial placement, so a run that starts from
+// quadratic placement, interrupted and resumed, still ends bit-identical to
+// the uninterrupted run. A frozen run cannot start from quadratic placement,
+// which would move the cells it pins.
+func TestQuadraticInitResumeBitExact(t *testing.T) {
+	cfg := resumeBase()
+	cfg.Init = "quadratic"
+	dA := testDesign(t, 80, 0)
+	resA, err := Place(dA, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	cut := cfg
+	cut.MaxIters = 30
+	cut.Checkpoint = CheckpointConfig{Every: 10, Dir: dir}
+	if _, err := Place(testDesign(t, 80, 0), cut); err != nil {
+		t.Fatal(err)
+	}
+	resumed := cfg
+	resumed.ResumeDir = dir
+	dC := testDesign(t, 80, 0)
+	resC, err := Place(dC, resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resC.ResumedFrom != 30 || resC.Iterations != resA.Iterations || resC.Evaluations != resA.Evaluations {
+		t.Errorf("resumed from %d, ran %d iterations and %d evaluations; want 30, %d, %d",
+			resC.ResumedFrom, resC.Iterations, resC.Evaluations, resA.Iterations, resA.Evaluations)
+	}
+	if resC.HPWL != resA.HPWL || resC.Overflow != resA.Overflow {
+		t.Errorf("HPWL %v, overflow %v; want bit-identical %v, %v", resC.HPWL, resC.Overflow, resA.HPWL, resA.Overflow)
+	}
+	for c := range dA.Cells {
+		if dA.X[c] != dC.X[c] || dA.Y[c] != dC.Y[c] {
+			t.Fatalf("cell %d position diverged: (%v,%v) vs (%v,%v)", c, dA.X[c], dA.Y[c], dC.X[c], dC.Y[c])
+		}
+	}
+	if !reflect.DeepEqual(resA.Trajectory, resC.Trajectory) {
+		t.Errorf("trajectories diverged: %d vs %d points", len(resA.Trajectory), len(resC.Trajectory))
+	}
+
+	frozen := cfg
+	frozen.Freeze = make([]bool, dA.NumCells())
+	frozen.Freeze[dA.MovableIndices()[0]] = true
+	if _, err := Place(testDesign(t, 80, 0), frozen); err == nil {
+		t.Error("a frozen run started from quadratic placement")
+	}
+}
+
 // TestResumeRejectsMismatchedConfig resume under a different model, grid,
 // optimizer, seed, or design must skip the snapshot and cold-start: bit-exact
 // resume holds only for the identical setup, so every one of these fields is

@@ -16,10 +16,7 @@ func newEvalEngine(t *testing.T, pre bool) (*engine, []float64, *obs.Metrics) {
 	cfg.GridX, cfg.GridY = 32, 32
 	cfg.Precondition = pre
 	cfg.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
-	en, pos, err := newEngine(testDesign(t, 300, 1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	en, pos := coldEngine(t, testDesign(t, 300, 1), cfg)
 	return en, pos, cfg.Obs.Metrics
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"math"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -274,6 +275,45 @@ func TestCacheNearHitSurvivesRetentionPrune(t *testing.T) {
 	}
 	if done := waitState(t, m, v2.ID, StateDone); done.Cache != "near_hit" {
 		t.Fatalf("child of pruned parent cache outcome %q, want near_hit", done.Cache)
+	}
+}
+
+// TestSpecArchiveBoundedByCache pruned jobs' specs are archived only as
+// long as their placements can still be cached: the archive never holds
+// more specs than the cache holds entries.
+func TestSpecArchiveBoundedByCache(t *testing.T) {
+	const bound = 2
+	dir := t.TempDir()
+	m, err := OpenManager(Config{DataDir: dir, Workers: 1, Retention: 1, CacheEntries: bound})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		m.Shutdown(ctx) //nolint:errcheck
+	})
+	// A prune archives and then trims under m.mu: count between prunes.
+	archived := func() int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		names, _ := filepath.Glob(filepath.Join(dir, "specarchive", "*.json"))
+		return len(names)
+	}
+	for i := 0; i < 6; i++ {
+		spec := synthSpec(5)
+		spec.Design.Synth.Seed = int64(10 + i)
+		v, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, v.ID, StateDone)
+		if n := archived(); n > bound {
+			t.Fatalf("after job %d the spec archive holds %d specs, more than the cache's %d entries", i+1, n, bound)
+		}
+	}
+	if n := archived(); n != bound {
+		t.Errorf("spec archive holds %d specs after 6 jobs at retention 1, want %d", n, bound)
 	}
 }
 

@@ -98,76 +98,75 @@ type job struct {
 	spec JobSpec
 
 	ctx    context.Context
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc
 
 	// resume marks a job recovered from the durable store: its run
 	// warm-starts from the latest persisted snapshot (if any).
 	resume bool
 
-	// persistMu serializes the job's status writes (see Manager.persist).
+	// persistMu serializes the job's status writes; written is one past the
+	// revision last written (see Manager.persist).
 	persistMu sync.Mutex
+	written   int
 
-	mu     sync.Mutex
-	state  State
-	design string
-	model  string
-	// resumes counts recoveries; userCancelled distinguishes an explicit
-	// Cancel from a shutdown drain (only the latter persists the job as
-	// interrupted for resume on the next boot).
-	resumes       int
-	userCancelled bool
-	// submitted/started/finished are time.Now() readings taken in-process,
-	// so Sub between them uses the embedded monotonic clock.
-	submitted  time.Time
-	started    time.Time
-	finished   time.Time
-	err        string
+	mu sync.Mutex
+	// status is everything status.json records. Manager.apply alone changes
+	// its state and bumps rev. A drain's interrupted job keeps state
+	// interrupted here and reads cancelled (see liveState). Its times are
+	// time.Now() readings taken in-process, so Sub between them uses the
+	// monotonic clock (except a recovered job's submit time).
+	status     PersistedStatus
+	rev        int
 	progress   Progress
 	hasProg    bool
-	result     *core.FlowResult
 	traj       []trajPoint
 	trajStride int // current sampling stride for the live buffer
-	guard      GuardStatus
-	cache      string // placement-result cache outcome: hit, near_hit, miss
+}
+
+// liveState is the state the manager reports: an interrupted job reads
+// cancelled until a later boot resumes it. Call with j.mu held.
+func (j *job) liveState() State {
+	if j.status.State == StateInterrupted {
+		return StateCancelled
+	}
+	return j.status.State
 }
 
 // view snapshots the job for JSON serialization.
 func (j *job) view() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	st := &j.status
 	v := JobView{
 		ID:          j.id,
-		State:       j.state,
-		Design:      j.design,
-		Model:       j.model,
-		SubmittedAt: j.submitted,
-		Error:       j.err,
-		Result:      j.result,
-		Resumes:     j.resumes,
-		Cache:       j.cache,
+		State:       j.liveState(),
+		Design:      st.Design,
+		Model:       st.Model,
+		SubmittedAt: st.SubmittedAt,
+		Error:       st.Error,
+		Result:      st.Result,
+		Resumes:     st.Resumes,
+		Cache:       st.Cache,
 	}
-	if !j.started.IsZero() {
-		t := j.started
+	if !st.StartedAt.IsZero() {
+		t := st.StartedAt
 		v.StartedAt = &t
-		v.QueueWait = j.started.Sub(j.submitted).Seconds()
+		v.QueueWait = st.StartedAt.Sub(st.SubmittedAt).Seconds()
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
+	if !st.FinishedAt.IsZero() {
+		t := st.FinishedAt
 		v.FinishedAt = &t
-		if !j.started.IsZero() { // cancelled-while-queued jobs never ran
-			v.RunSeconds = j.finished.Sub(j.started).Seconds()
+		if !st.StartedAt.IsZero() { // cancelled-while-queued jobs never ran
+			v.RunSeconds = st.FinishedAt.Sub(st.StartedAt).Seconds()
 		}
-	} else if j.state == StateRunning {
-		v.RunSeconds = time.Since(j.started).Seconds()
+	} else if st.State == StateRunning {
+		v.RunSeconds = time.Since(st.StartedAt).Seconds()
 	}
 	if j.hasProg {
 		p := j.progress
 		v.Progress = &p
 	}
-	if j.guard.Trips > 0 {
-		g := j.guard
-		v.Guard = &g
-	}
+	v.Guard = st.guardCopy()
 	return v
 }
 
@@ -188,7 +187,7 @@ func (j *job) trajectoryAfter(after int) ([]trajPoint, bool) {
 	}
 	out := make([]trajPoint, len(j.traj)-lo)
 	copy(out, j.traj[lo:])
-	return out, j.state.Terminal()
+	return out, j.liveState().Terminal()
 }
 
 // recordIteration updates live progress and the bounded trajectory buffer.
@@ -229,109 +228,42 @@ func (j *job) recordIteration(pt placer.TrajectoryPoint) {
 			return
 		}
 	}
-	j.traj = append(j.traj, trajPoint{TrajectoryPoint: pt, GuardTrips: j.guard.Trips})
+	trips := 0
+	if g := j.status.Guard; g != nil {
+		trips = g.Trips
+	}
+	j.traj = append(j.traj, trajPoint{TrajectoryPoint: pt, GuardTrips: trips})
 }
 
 // recordGuardEvent folds one guard event into the job's guard status.
 func (j *job) recordGuardEvent(ev guard.Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	g := j.status.Guard
+	if g == nil {
+		g = &GuardStatus{}
+		j.status.Guard = g
+	}
 	switch ev.Kind {
 	case guard.EventTrip:
-		j.guard.Trips++
+		g.Trips++
 	case guard.EventRollback:
-		j.guard.Rollbacks++
+		g.Rollbacks++
 	case guard.EventRecover:
-		j.guard.Recoveries++
+		g.Recoveries++
 	}
-	j.guard.LastEvent = string(ev.Kind)
-}
-
-// markRunning transitions queued -> running; returns false if the job was
-// cancelled while queued (the worker then skips it).
-func (j *job) markRunning() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	return true
-}
-
-// markCancelledIfQueued flips a still-queued job straight to cancelled.
-func (j *job) markCancelledIfQueued() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateCancelled
-	j.finished = time.Now()
-	return true
-}
-
-// finish records the terminal state of a run.
-func (j *job) finish(state State, res *core.FlowResult, errMsg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = state
-	j.finished = time.Now()
-	j.result = res
-	j.err = errMsg
+	g.LastEvent = string(ev.Kind)
 }
 
 // setCacheOutcome records how the placement-result cache served this run.
 func (j *job) setCacheOutcome(outcome string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.cache = outcome
+	j.status.Cache = outcome
 }
 
 func (j *job) currentState() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
-}
-
-// markUserCancelled records that Cancel (not a drain) ended this job.
-func (j *job) markUserCancelled() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.userCancelled = true
-}
-
-func (j *job) wasUserCancelled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.userCancelled
-}
-
-// persisted snapshots the job for the durable store, optionally overriding
-// the recorded state (used to persist "interrupted" during a drain while
-// the in-memory job reports cancelled).
-func (j *job) persisted(override State) PersistedStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := PersistedStatus{
-		State:       j.state,
-		Design:      j.design,
-		Model:       j.model,
-		SubmittedAt: j.submitted,
-		StartedAt:   j.started,
-		FinishedAt:  j.finished,
-		Error:       j.err,
-		Result:      j.result,
-		Resumes:     j.resumes,
-		Cache:       j.cache,
-	}
-	if j.guard.Trips > 0 {
-		g := j.guard
-		st.Guard = &g
-	}
-	if override != "" {
-		st.State = override
-	}
-	return st
+	return j.liveState()
 }

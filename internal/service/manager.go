@@ -45,6 +45,11 @@ var (
 	ErrSpecRejected = errors.New("service: invalid job spec")
 )
 
+// errUserCancel is the cancel cause of an explicit Cancel. A drain cancels
+// the manager's base context instead, so a run stopped without this cause
+// was interrupted and resumes on the next boot.
+var errUserCancel = errors.New("service: job cancelled by request")
+
 // Config tunes the job manager.
 type Config struct {
 	// Workers is the number of concurrent placement workers (default 2).
@@ -193,7 +198,9 @@ func OpenManager(cfg Config) (*Manager, error) {
 		m.cache = cache
 		m.updateCacheGauges()
 		m.seq = store.MaxSeq()
-		m.recover(persisted)
+		for _, pj := range persisted {
+			m.addJob(pj.ID, pj.Spec, pj.Status) //nolint:errcheck // the queue holds every recovered job
+		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
@@ -202,103 +209,168 @@ func OpenManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// recover replays the persisted job table: terminal jobs come back as
-// inspectable history, unfinished ones are re-enqueued for a resumed run.
-// Runs before the workers start, so no locking subtleties apply.
-func (m *Manager) recover(persisted []PersistedJob) {
-	for _, pj := range persisted {
-		st := pj.Status
-		if st.State.Terminal() {
-			j := &job{
-				id:        pj.ID,
-				seq:       jobSeq(pj.ID),
-				spec:      pj.Spec,
-				cancel:    func() {},
-				state:     st.State,
-				design:    st.Design,
-				model:     st.Model,
-				submitted: st.SubmittedAt,
-				started:   st.StartedAt,
-				finished:  st.FinishedAt,
-				err:       st.Error,
-				result:    st.Result,
-				resumes:   st.Resumes,
-				cache:     st.Cache,
-			}
-			if st.Guard != nil {
-				j.guard = *st.Guard
-			}
-			if j.model == "" {
-				j.model = pj.Spec.modelName()
-			}
-			m.jobs[j.id] = j
-			m.order = append(m.order, j)
-			continue
-		}
-		// Unfinished: re-enqueue as a resume. The job context is rebuilt
-		// from the spec (the old deadline, if any, starts afresh).
-		jctx, cancel := m.jobContext(pj.Spec)
-		j := &job{
-			id:        pj.ID,
-			seq:       jobSeq(pj.ID),
-			spec:      pj.Spec,
-			ctx:       jctx,
-			cancel:    cancel,
-			resume:    true,
-			state:     StateQueued,
-			model:     pj.Spec.modelName(),
-			design:    pj.Spec.designLabel(),
-			submitted: st.SubmittedAt,
-			resumes:   st.Resumes + 1,
-		}
-		if j.submitted.IsZero() {
-			j.submitted = time.Now()
-		}
-		m.jobs[j.id] = j
-		m.order = append(m.order, j)
-		m.queue <- j // sized to hold every recovered job
-		m.persist(j, "")
-		m.tel.JobsRecovered.Inc()
-		m.tel.QueueDepth.Add(1)
-	}
-}
-
 // jobContext builds a job's run context from its spec timeout and the
-// manager default.
-func (m *Manager) jobContext(spec JobSpec) (context.Context, context.CancelFunc) {
+// manager default. Cancel cancels it with errUserCancel as the cause.
+func (m *Manager) jobContext(spec JobSpec) (context.Context, context.CancelCauseFunc) {
 	timeout := m.cfg.DefaultTimeout
 	if spec.TimeoutSeconds > 0 {
 		timeout = time.Duration(spec.TimeoutSeconds * float64(time.Second))
 	}
-	if timeout > 0 {
-		return context.WithTimeout(m.baseCtx, timeout)
+	ctx, cancel := context.WithCancelCause(m.baseCtx)
+	if timeout <= 0 {
+		return ctx, cancel
 	}
-	return context.WithCancel(m.baseCtx)
+	tctx, stop := context.WithTimeout(ctx, timeout)
+	return tctx, func(cause error) { cancel(cause); stop() }
 }
 
-// persist writes a job's current status to the store (no-op without one).
-// Best-effort by design: a failed status write must not take down a running
-// placement. A job's writes are serialized, each snapshotting the job under
-// the lock, so the file ends at the state of the last write.
-func (m *Manager) persist(j *job, override State) {
+// addJob is the one constructor of a job. Submit passes no id (addJob
+// allocates one) and no status; recovery passes each persisted job, whose
+// old deadline, if any, starts afresh. A finished job joins the table as
+// history. An unfinished one is queued with its submit time and restart
+// count, counted, and written to the store; a recovered one resumes from
+// its latest snapshot.
+func (m *Manager) addJob(id string, spec JobSpec, st PersistedStatus) (*job, error) {
+	j := &job{id: id, seq: jobSeq(id), spec: spec, status: st, cancel: func(error) {}}
+	fresh, queued := id == "", !st.State.Terminal()
+	if queued {
+		j.resume = !fresh
+		j.status = PersistedStatus{
+			State:       StateQueued,
+			Design:      spec.designLabel(),
+			SubmittedAt: st.SubmittedAt,
+			Resumes:     st.Resumes,
+		}
+		if j.resume {
+			j.status.Resumes++
+		}
+		if j.status.SubmittedAt.IsZero() {
+			j.status.SubmittedAt = time.Now()
+		}
+		j.ctx, j.cancel = m.jobContext(spec)
+	}
+	if j.status.Model == "" {
+		j.status.Model = spec.modelName()
+	}
+
+	m.mu.Lock()
+	if queued {
+		err := ErrDraining
+		if !m.draining {
+			if fresh {
+				m.seq++
+				j.id, j.seq = fmt.Sprintf("job-%06d", m.seq), m.seq
+			}
+			select {
+			case m.queue <- j:
+				err = nil
+			default:
+				err = ErrQueueFull
+			}
+		}
+		if err != nil {
+			m.mu.Unlock()
+			j.cancel(nil)
+			return nil, err
+		}
+		if fresh {
+			m.tel.JobsSubmitted.Inc()
+		} else {
+			m.tel.JobsRecovered.Inc()
+		}
+		m.tel.QueueDepth.Add(1)
+	}
+	m.jobs[j.id] = j
+	m.order = append(m.order, j)
+	m.mu.Unlock()
+
+	if m.store != nil && queued {
+		if fresh {
+			m.store.SaveSpec(j.id, spec) //nolint:errcheck // best-effort
+		}
+		m.persist(j)
+	}
+	return j, nil
+}
+
+// transition is one step of a job's lifecycle (see apply).
+type transition struct {
+	from, to State
+	result   *core.FlowResult // a done run's result
+	err      string           // why a run failed or stopped
+}
+
+// apply is the one place a job changes state. Under j.mu it checks that j
+// is in t.from, stamps the time and counts the transition, all before the
+// new state is visible; then it writes status.json. The transitions are
+// queued→running, queued→cancelled, and running→done, failed, cancelled or
+// interrupted (a drain's cancel: the job reads cancelled until the next
+// boot resumes it). A job in any other state is left as it is, with
+// ErrJobFinished when it has ended and ErrJobRunning when it has not.
+func (m *Manager) apply(j *job, t transition) error {
+	j.mu.Lock()
+	st := &j.status
+	if st.State != t.from {
+		ended := j.liveState().Terminal()
+		j.mu.Unlock()
+		if ended {
+			return ErrJobFinished
+		}
+		return ErrJobRunning
+	}
+	now := time.Now()
+	if t.from == StateQueued {
+		m.tel.QueueDepth.Add(-1)
+	} else {
+		m.tel.JobsRunning.Add(-1)
+	}
+	switch t.to {
+	case StateRunning:
+		m.tel.JobsRunning.Add(1)
+		m.tel.QueueSeconds.Observe(now.Sub(st.SubmittedAt).Seconds())
+	case StateDone:
+		m.tel.JobsDone.Inc()
+		m.tel.LastHPWL.Set(t.result.DPWL)
+		m.tel.LastOverflow.Set(t.result.Overflow)
+	case StateFailed:
+		m.tel.JobsFailed.Inc()
+	case StateCancelled:
+		m.tel.JobsCancelled.Inc()
+	case StateInterrupted:
+		m.tel.JobsInterrupted.Inc()
+	}
+	if t.to == StateRunning {
+		st.StartedAt = now
+	} else {
+		st.FinishedAt, st.Result, st.Error = now, t.result, t.err
+	}
+	st.State = t.to
+	j.rev++
+	j.mu.Unlock()
+	m.persist(j)
+	return nil
+}
+
+// persist writes j's status to the store (no-op without one). A job's
+// writes are serialized, each snapshots the job as it runs and skips a
+// revision already written, so status.json only moves forward and holds
+// each state once. Best-effort by design: a failed status write must not
+// take down a running placement.
+func (m *Manager) persist(j *job) {
 	if m.store == nil {
 		return
 	}
 	j.persistMu.Lock()
 	defer j.persistMu.Unlock()
-	m.store.SaveStatus(j.id, j.persisted(override)) //nolint:errcheck // best-effort
-}
-
-// persistQueued is Submit's first status write. The job is already visible
-// to the workers, so the write happens only while the job is still queued: a
-// job that has moved on is recorded by the write of its own transition, and
-// a late queued write must not overwrite a finished or interrupted status.
-func (m *Manager) persistQueued(j *job) {
-	j.persistMu.Lock()
-	defer j.persistMu.Unlock()
-	if st := j.persisted(""); st.State == StateQueued {
-		m.store.SaveStatus(j.id, st) //nolint:errcheck // best-effort
+	j.mu.Lock()
+	st, rev := j.status, j.rev
+	j.mu.Unlock()
+	if rev < j.written {
+		return
 	}
+	j.written = rev + 1
+	st.Guard = st.guardCopy()
+	m.store.SaveStatus(j.id, st) //nolint:errcheck // best-effort
 }
 
 // Telemetry returns the manager's metrics collector.
@@ -308,54 +380,19 @@ func (m *Manager) Telemetry() *telemetry.Collector { return m.tel }
 // Fails fast with ErrQueueFull when the queue is at capacity and
 // ErrDraining after Shutdown has begun.
 func (m *Manager) Submit(spec JobSpec) (JobView, error) {
-	if err := spec.Validate(m.cfg.AuxRoot); err != nil {
+	err := spec.Validate(m.cfg.AuxRoot)
+	if err == nil {
+		err = spec.validateResumeDir(m.cfg.ResumeRoot)
+	}
+	if err != nil {
 		m.tel.JobsRejected.Inc()
 		return JobView{}, fmt.Errorf("%w: %v", ErrSpecRejected, err)
 	}
-	if err := spec.validateResumeDir(m.cfg.ResumeRoot); err != nil {
+	j, err := m.addJob("", spec, PersistedStatus{})
+	if err != nil {
 		m.tel.JobsRejected.Inc()
-		return JobView{}, fmt.Errorf("%w: %v", ErrSpecRejected, err)
+		return JobView{}, err
 	}
-
-	jctx, cancel := m.jobContext(spec)
-
-	m.mu.Lock()
-	if m.draining {
-		m.mu.Unlock()
-		cancel()
-		m.tel.JobsRejected.Inc()
-		return JobView{}, ErrDraining
-	}
-	m.seq++
-	j := &job{
-		id:        fmt.Sprintf("job-%06d", m.seq),
-		seq:       m.seq,
-		spec:      spec,
-		ctx:       jctx,
-		cancel:    cancel,
-		state:     StateQueued,
-		model:     spec.modelName(),
-		design:    spec.designLabel(),
-		submitted: time.Now(),
-	}
-	select {
-	case m.queue <- j:
-	default:
-		m.mu.Unlock()
-		cancel()
-		m.tel.JobsRejected.Inc()
-		return JobView{}, ErrQueueFull
-	}
-	m.jobs[j.id] = j
-	m.order = append(m.order, j)
-	m.mu.Unlock()
-
-	if m.store != nil {
-		m.store.SaveSpec(j.id, spec) //nolint:errcheck // best-effort
-		m.persistQueued(j)
-	}
-	m.tel.JobsSubmitted.Inc()
-	m.tel.QueueDepth.Add(1)
 	return j.view(), nil
 }
 
@@ -427,58 +464,35 @@ func (m *Manager) List() []JobView {
 // Cancel cancels a queued or running job. Queued jobs flip to cancelled
 // immediately; running jobs get their context cancelled and transition once
 // the engine notices (within one placement iteration).
-func (m *Manager) Cancel(id string) (JobView, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return JobView{}, ErrUnknownJob
-	}
-	if j.currentState().Terminal() {
-		return j.view(), ErrJobFinished
-	}
-	j.markUserCancelled()
-	if j.markCancelledIfQueued() {
-		// The worker will drain it from the queue and skip it.
-		j.cancel()
-		m.persist(j, "")
-		m.tel.QueueDepth.Add(-1)
-		m.tel.JobsCancelled.Inc()
-		m.pruneFinished()
-		return j.view(), nil
-	}
-	j.cancel() // running: the engine returns ctx.Err() at the next iteration
-	return j.view(), nil
-}
+func (m *Manager) Cancel(id string) (JobView, error) { return m.cancelJob(id, true) }
 
 // CancelQueued cancels a job only while it is still waiting in the queue.
 // Unlike Cancel it never touches a running placement: the fleet
 // coordinator's work stealer uses it to pull queued jobs off a hot node,
 // and a job that started in the meantime answers ErrJobRunning (the steal
-// is simply abandoned). The race between checking and cancelling is closed
-// by markCancelledIfQueued's internal lock.
-func (m *Manager) CancelQueued(id string) (JobView, error) {
+// is simply abandoned). Like an explicit cancel, a stolen job stays
+// cancelled across a restart (the coordinator re-owns the work).
+func (m *Manager) CancelQueued(id string) (JobView, error) { return m.cancelJob(id, false) }
+
+// cancelJob cancels a queued job, and a running one when running is set.
+// apply's state check closes the race with a worker starting the job.
+func (m *Manager) cancelJob(id string, running bool) (JobView, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
 	m.mu.Unlock()
 	if !ok {
 		return JobView{}, ErrUnknownJob
 	}
-	if j.currentState().Terminal() {
-		return j.view(), ErrJobFinished
+	err := m.apply(j, transition{from: StateQueued, to: StateCancelled})
+	switch {
+	case err == nil:
+		j.cancel(errUserCancel) // the worker skips it when it leaves the queue
+		m.pruneFinished()
+	case running && errors.Is(err, ErrJobRunning):
+		j.cancel(errUserCancel) // run records the cancel
+		err = nil
 	}
-	if !j.markCancelledIfQueued() {
-		return j.view(), ErrJobRunning
-	}
-	// Stolen jobs must stay cancelled across a restart, exactly like an
-	// explicit user cancel (the coordinator re-owns the work).
-	j.markUserCancelled()
-	j.cancel()
-	m.persist(j, "")
-	m.tel.QueueDepth.Add(-1)
-	m.tel.JobsCancelled.Inc()
-	m.pruneFinished()
-	return j.view(), nil
+	return j.view(), err
 }
 
 // ManagerStats is the capacity/load report a worker sends the fleet
@@ -520,16 +534,11 @@ func (m *Manager) Stats() ManagerStats {
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for j := range m.queue {
-		if !j.markRunning() {
+		if m.apply(j, transition{from: StateQueued, to: StateRunning}) != nil {
 			continue // cancelled while queued
 		}
-		m.persist(j, "")
-		m.tel.QueueDepth.Add(-1)
-		m.tel.JobsRunning.Add(1)
-		v := j.view()
-		m.tel.QueueSeconds.Observe(v.QueueWait)
 		m.run(j)
-		m.tel.JobsRunning.Add(-1)
+		j.cancel(nil) // release the context's timer and its place in the base context
 		m.pruneFinished()
 	}
 }
@@ -586,10 +595,9 @@ func (m *Manager) run(j *job) {
 		if r == nil {
 			return
 		}
-		j.finish(StateFailed, nil, fmt.Sprintf("panic: %v\n%s", r, debug.Stack()))
-		m.persist(j, "")
 		m.tel.JobsPanicked.Inc()
-		m.tel.JobsFailed.Inc()
+		m.apply(j, transition{from: StateRunning, to: StateFailed, //nolint:errcheck // only run ends a running job
+			err: fmt.Sprintf("panic: %v\n%s", r, debug.Stack())})
 		m.log.Error("job panicked, worker recovered", "job", j.id, "panic", fmt.Sprint(r))
 	}()
 	if h := runHook; h != nil {
@@ -598,13 +606,12 @@ func (m *Manager) run(j *job) {
 	base, d, err := j.spec.buildDesigns(m.cfg.AuxRoot)
 	if err != nil {
 		m.log.Warn("job rejected: bad design", "job", j.id, "err", err)
-		j.finish(StateFailed, nil, err.Error())
-		m.persist(j, "")
-		m.tel.JobsFailed.Inc()
+		m.apply(j, transition{from: StateRunning, to: StateFailed, err: err.Error()}) //nolint:errcheck // only run ends a running job
 		return
 	}
 	j.mu.Lock()
-	j.design = d.Name
+	j.status.Design = d.Name
+	resumes := j.status.Resumes
 	j.mu.Unlock()
 
 	// Consult the placement-result cache: an exact (design hash, config
@@ -664,7 +671,7 @@ func (m *Manager) run(j *job) {
 	o := m.jobObserver(j)
 	cfg.GP.Obs = o
 	defer m.exportTrace(j, o.Trace)
-	m.log.Info("job started", "job", j.id, "design", d.Name, "model", j.spec.modelName(), "resumes", j.resumes)
+	m.log.Info("job started", "job", j.id, "design", d.Name, "model", j.spec.modelName(), "resumes", resumes)
 	// ResumeDir warm-starts from the newest fingerprint-matching snapshot and
 	// cold-starts when none matches, so a changed spec or binary degrades to
 	// a fresh run instead of failing the job (the deterministic pipeline
@@ -689,6 +696,7 @@ func (m *Manager) run(j *job) {
 	}
 
 	res, err := core.RunFlowContext(j.ctx, d, cfg)
+	end := transition{from: StateRunning, to: StateFailed}
 	switch {
 	case err == nil:
 		// Cache the result and count the job before publishing done: a
@@ -710,42 +718,32 @@ func (m *Manager) run(j *job) {
 			})
 			m.updateCacheGauges()
 		}
-		m.tel.JobsDone.Inc()
-		m.tel.LastHPWL.Set(res.DPWL)
-		m.tel.LastOverflow.Set(res.Overflow)
 		m.tel.GPSeconds.Observe(res.GPSeconds)
 		m.tel.LGSeconds.Observe(res.LGSeconds)
 		m.tel.DPSeconds.Observe(res.DPSeconds)
 		m.tel.TotalSeconds.Observe(res.TotalSeconds)
-		j.finish(StateDone, res, "")
-		m.persist(j, "")
+		end.to, end.result = StateDone, res
 		m.log.Info("job done", "job", j.id, "design", d.Name,
 			"hpwl", res.DPWL, "overflow", res.Overflow, "seconds", res.TotalSeconds)
 	case errors.Is(err, context.Canceled):
-		j.finish(StateCancelled, nil, "cancelled")
-		if m.isDraining() && !j.wasUserCancelled() {
-			// Shutdown drain, not an explicit cancel: persist the job as
-			// interrupted so the next boot resumes it from the snapshot
-			// the engine just wrote on its way out.
-			m.persist(j, StateInterrupted)
-			m.tel.JobsInterrupted.Inc()
-			m.log.Info("job interrupted by drain", "job", j.id)
-		} else {
-			m.persist(j, "")
-			m.tel.JobsCancelled.Inc()
+		end.to, end.err = StateCancelled, "cancelled"
+		if context.Cause(j.ctx) == errUserCancel {
 			m.log.Info("job cancelled", "job", j.id)
+		} else {
+			// Shutdown drain, not an explicit cancel: the job is interrupted,
+			// and the next boot resumes it from the snapshot the engine just
+			// wrote on its way out.
+			end.to = StateInterrupted
+			m.log.Info("job interrupted by drain", "job", j.id)
 		}
 	case errors.Is(err, context.DeadlineExceeded):
-		j.finish(StateFailed, nil, "deadline exceeded")
-		m.persist(j, "")
-		m.tel.JobsFailed.Inc()
+		end.err = "deadline exceeded"
 		m.log.Warn("job failed: deadline exceeded", "job", j.id)
 	default:
-		j.finish(StateFailed, nil, err.Error())
-		m.persist(j, "")
-		m.tel.JobsFailed.Inc()
+		end.err = err.Error()
 		m.log.Warn("job failed", "job", j.id, "err", err)
 	}
+	m.apply(j, end) //nolint:errcheck // only run ends a running job
 }
 
 // serveCacheHit finishes a job straight from the placement-result cache: the
@@ -755,21 +753,16 @@ func (m *Manager) run(j *job) {
 func (m *Manager) serveCacheHit(j *job, d *netlist.Design, cached *checkpoint.PlacementResult) {
 	copy(d.X, cached.X)
 	copy(d.Y, cached.Y)
-	res := &core.FlowResult{
+	j.setCacheOutcome("hit")
+	m.tel.CacheHits.Inc()
+	m.apply(j, transition{from: StateRunning, to: StateDone, result: &core.FlowResult{ //nolint:errcheck // only run ends a running job
 		Design:   d.Name,
 		Model:    j.spec.modelName(),
 		GPWL:     cached.HPWL,
 		LGWL:     cached.HPWL,
 		DPWL:     cached.HPWL,
 		Overflow: cached.Overflow,
-	}
-	j.setCacheOutcome("hit")
-	m.tel.CacheHits.Inc()
-	m.tel.JobsDone.Inc()
-	m.tel.LastHPWL.Set(cached.HPWL)
-	m.tel.LastOverflow.Set(cached.Overflow)
-	j.finish(StateDone, res, "")
-	m.persist(j, "")
+	}})
 	m.log.Info("job served from cache", "job", j.id, "design", d.Name, "hpwl", cached.HPWL)
 }
 
@@ -837,13 +830,6 @@ func (m *Manager) updateCacheGauges() {
 	m.tel.CacheBytes.Set(st.Bytes)
 }
 
-// isDraining reports whether Shutdown has begun.
-func (m *Manager) isDraining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
-}
-
 // pruneFinished drops the oldest finished jobs beyond the retention cap.
 func (m *Manager) pruneFinished() {
 	m.mu.Lock()
@@ -884,18 +870,9 @@ func (m *Manager) pruneFinished() {
 	}
 	m.order = kept
 	if archived {
-		m.store.PruneSpecArchive(m.specArchiveLimit())
+		// Archived specs only matter while their placements are cached.
+		m.store.PruneSpecArchive(m.cache.Options().MaxEntries)
 	}
-}
-
-// specArchiveLimit bounds the pruned-job spec archive to the result cache's
-// entry bound: archived specs only matter while the matching placement is
-// still cached.
-func (m *Manager) specArchiveLimit() int {
-	if m.cfg.CacheEntries > 0 {
-		return m.cfg.CacheEntries
-	}
-	return 256 // ecocache's default MaxEntries
 }
 
 // Shutdown drains the manager: no new submits are accepted, queued and

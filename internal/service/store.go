@@ -73,6 +73,16 @@ type PersistedStatus struct {
 	Cache string `json:"cache,omitempty"`
 }
 
+// guardCopy returns a copy of the guard summary once the guard has tripped,
+// and nil before.
+func (st *PersistedStatus) guardCopy() *GuardStatus {
+	if st.Guard == nil || st.Guard.Trips == 0 {
+		return nil
+	}
+	g := *st.Guard
+	return &g
+}
+
 // PersistedJob pairs a job's spec with its last persisted status.
 type PersistedJob struct {
 	ID     string

@@ -114,14 +114,6 @@ func scaleCount(v int, scale float64, floor int) int {
 	return s
 }
 
-// Suite2006 returns the generator specs of the ISPD2006-like suite at the
-// default scale.
-func Suite2006() []Spec { return suite(ISPD2006, Scale2006) }
-
-// Suite2019 returns the generator specs of the ISPD2019-like suite at the
-// default scale.
-func Suite2019() []Spec { return suite(ISPD2019, Scale2019) }
-
 // Suite2006WithScale returns the ISPD2006-like specs at an explicit scale.
 func Suite2006WithScale(scale float64) []Spec { return suite(ISPD2006, scale) }
 
