@@ -3,9 +3,9 @@ GO ?= go
 # Each PR writes its own trajectory file so earlier ones stay comparable.
 BENCH ?= BENCH_PR16.json
 
-.PHONY: check fmt vet build test race fuzz-seeds fuzz bench cover loc placerd trace-demo fleet-demo chaos-demo placertop-demo golden
+.PHONY: check fmt vet build test harness race fuzz-seeds fuzz bench cover loc placerd trace-demo fleet-demo chaos-demo placertop-demo golden
 
-check: fmt vet build test race fuzz-seeds
+check: fmt vet build test harness race fuzz-seeds
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -21,6 +21,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench/ is its own module (replace repro => ../), so the root
+# `go build ./...` never compiles it: vet and test it here so a change to the
+# engine's exported API cannot break the benchmark unnoticed.
+harness:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The job manager (now including the durable store and result cache), the
 # checkpoint codec, the durable-file layer, telemetry, engine cancellation,

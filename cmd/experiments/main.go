@@ -22,6 +22,7 @@ import (
 	"syscall"
 
 	"repro/internal/experiments"
+	"repro/internal/placer"
 	"repro/internal/plot"
 )
 
@@ -30,8 +31,8 @@ func main() {
 		exp       = flag.String("exp", "all", "experiment: table1, table2, table3, fig1a, fig1b, fig3, stability, ablation, seeds, all")
 		scale2006 = flag.Float64("scale2006", 0, "ISPD2006 scale factor (default 1/100)")
 		scale2019 = flag.Float64("scale2019", 0, "ISPD2019 scale factor (default 1/20)")
-		iters     = flag.Int("iters", 0, "max global placement iterations (default 2500)")
-		overflow  = flag.Float64("overflow", 0, "stop overflow (default 0.07)")
+		iters     = flag.Int("iters", 0, fmt.Sprintf("max global placement iterations (0 = placer.DefaultMaxIters, %d)", placer.DefaultMaxIters))
+		overflow  = flag.Float64("overflow", 0, fmt.Sprintf("stop overflow (0 = placer.DefaultStopOverflow, %g)", placer.DefaultStopOverflow))
 		workers   = flag.Int("workers", 0, "concurrent designs (default NumCPU/2)")
 		samples   = flag.Int("samples", 3000, "random nets per point for fig1b")
 		quiet     = flag.Bool("quiet", false, "suppress per-flow progress lines")

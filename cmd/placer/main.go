@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	placer -aux design.aux -model ME [-iters 800] [-out outdir]
+//	placer -aux design.aux -model ME [-iters n] [-out outdir]
 //	placer -suite ispd2006 -design newblue1 -scale 0.01 -model ME
 //	placer -cells 2000 -model WA
 //
@@ -62,8 +62,8 @@ func main() {
 		scale   = flag.Float64("scale", 0.01, "suite scale factor")
 		cells   = flag.Int("cells", 0, "generate an ad-hoc synthetic design with this many cells")
 		model   = flag.String("model", "ME", "wirelength model: LSE, WA, BiG_CHKS, ME, HPWL")
-		iters   = flag.Int("iters", 800, "max global placement iterations")
-		overfl  = flag.Float64("overflow", 0.07, "global placement stop overflow")
+		iters   = flag.Int("iters", placer.DefaultMaxIters, "max global placement iterations")
+		overfl  = flag.Float64("overflow", placer.DefaultStopOverflow, "global placement stop overflow")
 		seed    = flag.Int64("seed", 1, "random seed")
 		tetris  = flag.Bool("tetris", false, "use the greedy Tetris legalizer instead of Abacus")
 		skipDP  = flag.Bool("skip-dp", false, "stop after legalization")
@@ -72,7 +72,6 @@ func main() {
 		useISM  = flag.Bool("ism", false, "enable independent-set matching in detailed placement")
 		congest = flag.Bool("congestion", false, "report RUDY congestion statistics of the final placement")
 		plotDir = flag.String("plot", "", "write placement.svg and congestion.svg into this directory")
-		routab  = flag.Int("routability", 0, "congestion-driven inflation rounds (0 = off)")
 		ckptDir = flag.String("checkpoint", "", "write placement snapshots into this directory")
 		ckptEv  = flag.Int("checkpoint-every", 50, "snapshot cadence in GP iterations (with -checkpoint)")
 		resume  = flag.Bool("resume", false, "warm-start from the latest snapshot in -checkpoint")
@@ -118,7 +117,6 @@ func main() {
 	cfg.UseTetris = *tetris
 	cfg.SkipDetailed = *skipDP
 	cfg.DP.UseISM = *useISM
-	cfg.RoutabilityRounds = *routab
 	if *ckptDir != "" {
 		cfg.GP.Checkpoint = placer.CheckpointConfig{Every: *ckptEv, Dir: *ckptDir}
 	}
@@ -173,6 +171,10 @@ func main() {
 	}
 	if res.ResumedFrom > 0 {
 		fmt.Printf("resumed from snapshot at iteration %d\n", res.ResumedFrom)
+	}
+	if res.Capped {
+		fmt.Printf("global placement stopped at its iteration cap (%d) with overflow %.3f above the target; raise -iters\n",
+			res.GPIters, res.Overflow)
 	}
 	if res.GuardTrips > 0 {
 		fmt.Printf("guard: %d trips, %d rollbacks, %d recoveries\n",

@@ -36,11 +36,6 @@ type FlowConfig struct {
 	GPOnly bool
 	// DP overrides detailed placement options.
 	DP detailed.Options
-	// RoutabilityRounds > 0 enables congestion-driven cell inflation
-	// between global placement rounds (RePlAce-style routability mode).
-	RoutabilityRounds int
-	// Inflate tunes the inflation when RoutabilityRounds > 0.
-	Inflate placer.InflateOptions
 }
 
 // DefaultFlowConfig returns the standard flow for a model name.
@@ -60,6 +55,9 @@ type FlowResult struct {
 	Overflow float64
 	// GPIters counts global placement iterations.
 	GPIters int
+	// Capped reports that global placement stopped at its iteration cap
+	// with the overflow above its target (see placer.Result.Capped).
+	Capped bool `json:",omitempty"`
 	// GPSeconds, LGSeconds, DPSeconds, TotalSeconds are stage runtimes
 	// (monotonic-clock durations); GPSetupSeconds and GPLoopSeconds split
 	// the global placement stage into setup and main-loop time.
@@ -106,19 +104,14 @@ func RunFlowContext(ctx context.Context, d *netlist.Design, cfg FlowConfig) (*Fl
 	}
 	res := &FlowResult{Design: d.Name, Model: gpCfg.Model.Name()}
 
-	var gp *placer.Result
-	var err error
-	if cfg.RoutabilityRounds > 0 {
-		gp, _, err = placer.PlaceRoutabilityContext(ctx, d, gpCfg, cfg.RoutabilityRounds, cfg.Inflate)
-	} else {
-		gp, err = placer.PlaceContext(ctx, d, gpCfg)
-	}
+	gp, err := placer.PlaceContext(ctx, d, gpCfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: global placement: %w", err)
 	}
 	res.GPWL = gp.HPWL
 	res.Overflow = gp.Overflow
 	res.GPIters = gp.Iterations
+	res.Capped = gp.Capped
 	res.GPSeconds = gp.Seconds
 	res.GPSetupSeconds = gp.SetupSeconds
 	res.GPLoopSeconds = gp.LoopSeconds

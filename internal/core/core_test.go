@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/netlist"
@@ -106,21 +108,25 @@ func TestRunFlowAllModelsProduceLegalPlacements(t *testing.T) {
 	}
 }
 
-func TestRunFlowRoutabilityMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("routability flow in -short mode")
-	}
-	d := flowDesign(t)
-	cfg := fastFlow("ME")
-	cfg.RoutabilityRounds = 1
-	res, err := RunFlow(d, cfg)
+func TestRunFlowReportsCap(t *testing.T) {
+	cfg := fastFlow("WA")
+	cfg.GPOnly = true
+	cfg.GP.MaxIters = 5
+	cfg.GP.StopOverflow = 1e-9
+	res, err := RunFlow(flowDesign(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.LegalizationOK {
-		t.Error("routability flow produced illegal placement")
+	if !res.Capped || res.GPIters != 5 {
+		t.Errorf("Capped = %v after %d iterations, want true after 5", res.Capped, res.GPIters)
 	}
-	if res.DPWL <= 0 {
-		t.Errorf("DPWL = %g", res.DPWL)
+	// An uncapped result serializes without the field, so the status files
+	// of runs that reach their target keep their bytes.
+	b, err := json.Marshal(&FlowResult{GPIters: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "Capped") {
+		t.Errorf("uncapped result serializes the flag: %s", b)
 	}
 }

@@ -10,21 +10,20 @@ import (
 // fingerprints are the same computation, so the cached result of one answers
 // the other exactly. Display-only knobs (trajectory recording, observability,
 // timeouts) are deliberately absent, and so is the deprecated worker count,
-// which the engine ignores.
+// which the engine ignores. The target density is the design's own, so the
+// design hash covers it, and the smoothing schedules' constants are fixed in
+// the engine.
 type ConfigFingerprint struct {
-	Model         string
-	GridX, GridY  int
-	TargetDensity float64
-	MaxIters      int
-	StopOverflow  float64
-	Gamma0        float64
-	T0, Delta     float64
-	NoFillers     bool
-	Seed          int64
-	Init          string
-	Optimizer     string
-	Schedule      string
-	Precondition  bool
+	Model        string
+	GridX, GridY int
+	MaxIters     int
+	StopOverflow float64
+	NoFillers    bool
+	Seed         int64
+	Init         string
+	Optimizer    string
+	Schedule     string
+	Precondition bool
 	// Flow shape: which stages ran after global placement.
 	GPOnly       bool
 	SkipDetailed bool
@@ -39,9 +38,9 @@ type ConfigFingerprint struct {
 // over an unambiguous textual rendering of every field).
 func (f ConfigFingerprint) Key() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "m=%s|g=%dx%d|td=%x|it=%d|so=%x|g0=%x|t0=%x|dl=%x|nf=%t|s=%d|in=%s|op=%s|sc=%s|pc=%t|go=%t|sd=%t|ut=%t|gd=%t|gr=%d",
-		f.Model, f.GridX, f.GridY, f.TargetDensity, f.MaxIters, f.StopOverflow,
-		f.Gamma0, f.T0, f.Delta, f.NoFillers, f.Seed, f.Init, f.Optimizer,
+	fmt.Fprintf(h, "m=%s|g=%dx%d|it=%d|so=%x|nf=%t|s=%d|in=%s|op=%s|sc=%s|pc=%t|go=%t|sd=%t|ut=%t|gd=%t|gr=%d",
+		f.Model, f.GridX, f.GridY, f.MaxIters, f.StopOverflow,
+		f.NoFillers, f.Seed, f.Init, f.Optimizer,
 		f.Schedule, f.Precondition, f.GPOnly, f.SkipDetailed, f.UseTetris,
 		f.Guard, f.GuardRetries)
 	return h.Sum64()

@@ -26,13 +26,14 @@ type Options struct {
 	// Scale2006, Scale2019 shrink the contest statistics; defaults are
 	// synth.Scale2006 and synth.Scale2019.
 	Scale2006, Scale2019 float64
-	// MaxIters caps global placement iterations (default 2500; flows
-	// normally stop at StopOverflow well before the cap — the Moreau
-	// model needs ~20-50% more iterations than WA to reach the same
-	// overflow, so a tight cap would compare models at unequal
-	// convergence).
+	// MaxIters caps global placement iterations (default
+	// placer.DefaultMaxIters). Flows normally stop at StopOverflow well
+	// before the cap: the Moreau model needs 20-50% more iterations than WA
+	// to reach the same overflow, so a cap that binds compares the models
+	// at unequal density.
 	MaxIters int
-	// StopOverflow is the global placement stopping overflow (default 0.07).
+	// StopOverflow is the global placement stopping overflow (default
+	// placer.DefaultStopOverflow).
 	StopOverflow float64
 	// Workers bounds concurrent designs (default: NumCPU/2, at least 1).
 	// Models within one design always run sequentially so their runtime
@@ -61,10 +62,10 @@ func (o Options) withDefaults() Options {
 		o.Scale2019 = synth.Scale2019
 	}
 	if o.MaxIters <= 0 {
-		o.MaxIters = 2500
+		o.MaxIters = placer.DefaultMaxIters
 	}
 	if o.StopOverflow <= 0 {
-		o.StopOverflow = 0.07
+		o.StopOverflow = placer.DefaultStopOverflow
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU() / 2

@@ -141,3 +141,53 @@ func TestPhaseTimingIsPopulated(t *testing.T) {
 			res.Seconds, res.SetupSeconds, res.LoopSeconds)
 	}
 }
+
+func TestResultCappedOnlyAtTheCap(t *testing.T) {
+	unreachable := func() Config {
+		cfg := fastConfig(wirelength.NewWA())
+		cfg.MaxIters = 5
+		cfg.StopOverflow = 1e-9
+		return cfg
+	}
+	hookStop := unreachable()
+	hookStop.OnIteration = func(pt TrajectoryPoint) bool { return pt.Iter < hookStop.MaxIters-1 }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelled := unreachable()
+	cancelled.MaxIters = 10
+	cancelled.OnIteration = func(pt TrajectoryPoint) bool {
+		if pt.Iter == 2 {
+			cancel()
+		}
+		return true
+	}
+	for _, tc := range []struct {
+		name   string
+		ctx    context.Context
+		cfg    Config
+		capped bool
+	}{
+		{"cap", context.Background(), unreachable(), true},
+		{"converged", context.Background(), fastConfig(wirelength.NewWA()), false},
+		// The hook ends the run on the cap's own iteration: a stop, not a cap.
+		{"hook stop", context.Background(), hookStop, false},
+		{"cancelled", ctx, cancelled, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := PlaceContext(tc.ctx, testDesign(t, 120, 0), tc.cfg)
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatal(err)
+			}
+			if res.Capped != tc.capped {
+				t.Errorf("Capped = %v after %d iterations at overflow %g, want %v",
+					res.Capped, res.Iterations, res.Overflow, tc.capped)
+			}
+			if tc.capped && res.Iterations != tc.cfg.MaxIters {
+				t.Errorf("capped run took %d iterations, want %d", res.Iterations, tc.cfg.MaxIters)
+			}
+			if tc.name == "converged" && res.Iterations >= tc.cfg.MaxIters {
+				t.Errorf("converging run took %d iterations, the whole cap", res.Iterations)
+			}
+		})
+	}
+}

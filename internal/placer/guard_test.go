@@ -181,6 +181,9 @@ func TestGuardDivergenceErrorAfterRetryBudget(t *testing.T) {
 	if res.GuardTrips != 3 {
 		t.Errorf("GuardTrips = %d, want 3", res.GuardTrips)
 	}
+	if res.Capped {
+		t.Error("a guard failure set Result.Capped")
+	}
 }
 
 // TestGuardRecoversFromPoisonedSolve one poisoned Poisson field output

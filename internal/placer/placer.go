@@ -39,19 +39,13 @@ type Config struct {
 	// GridX, GridY are the density grid dimensions (powers of two);
 	// zero selects them automatically from the design size.
 	GridX, GridY int
-	// TargetDensity overrides the design's bin density target when > 0.
-	TargetDensity float64
-	// MaxIters caps global placement iterations (default 1000).
+	// MaxIters caps global placement iterations (0 selects
+	// DefaultMaxIters; Validate rejects negatives).
 	MaxIters int
 	// StopOverflow ends global placement once the density overflow drops
-	// below it (default 0.07, the usual ePlace target).
+	// below it (0 selects DefaultStopOverflow; Validate rejects negative and
+	// non-finite values).
 	StopOverflow float64
-	// Gamma0 is the base multiplier of the ePlace gamma schedule
-	// (default 4.0); used by LSE/WA/BiG.
-	Gamma0 float64
-	// T0 and Delta parameterize the paper's tangent t schedule (Eq. 14);
-	// defaults 4.0 and 1e-4.
-	T0, Delta float64
 	// NoFillers disables whitespace filler cell insertion (fillers are
 	// on by default).
 	NoFillers bool
@@ -125,15 +119,22 @@ type Config struct {
 	Guard *guard.Config
 }
 
+// The defaults of the stopping knobs, the only place they are written.
+const (
+	// DefaultMaxIters is the iteration cap, set well above the iteration
+	// counts at which the paper's flows reach DefaultStopOverflow so that it
+	// does not bind (see experiments.Options.MaxIters).
+	DefaultMaxIters = 2500
+	// DefaultStopOverflow is the usual ePlace density overflow target.
+	DefaultStopOverflow = 0.07
+)
+
 // DefaultConfig returns the standard configuration for a model.
 func DefaultConfig(m wirelength.Model) Config {
 	return Config{
 		Model:        m,
-		MaxIters:     1000,
-		StopOverflow: 0.07,
-		Gamma0:       4.0,
-		T0:           4.0,
-		Delta:        1e-4,
+		MaxIters:     DefaultMaxIters,
+		StopOverflow: DefaultStopOverflow,
 		Seed:         1,
 	}
 }
@@ -158,6 +159,10 @@ type Result struct {
 	LoopSeconds  float64
 	// Stopped reports that the OnIteration hook ended the run early.
 	Stopped bool
+	// Capped reports that the run ended at Config.MaxIters with the density
+	// overflow not below Config.StopOverflow. A hook stop, a cancellation
+	// and a guard failure never set it.
+	Capped bool
 	// ResumedFrom is the iteration the run was warm-started at via
 	// Config.ResumeDir (0 for a cold start).
 	ResumedFrom int
@@ -257,7 +262,8 @@ func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Validate checks cfg for errors that would otherwise surface as panics or
 // late failures deep inside a run: a nil model, grid dimensions the spectral
-// density solver cannot handle, and unknown enum strings.
+// density solver cannot handle, unknown enum strings, and negative or
+// non-finite counts and thresholds.
 func (cfg *Config) Validate() error {
 	if cfg.Model == nil {
 		return fmt.Errorf("placer: config has no wirelength model")
@@ -282,6 +288,12 @@ func (cfg *Config) Validate() error {
 	case "", "gamma", "tangent":
 	default:
 		return fmt.Errorf("placer: unknown schedule %q (want gamma or tangent)", cfg.Schedule)
+	}
+	if cfg.MaxIters < 0 {
+		return fmt.Errorf("placer: MaxIters %d must be >= 0", cfg.MaxIters)
+	}
+	if cfg.StopOverflow < 0 || math.IsNaN(cfg.StopOverflow) || math.IsInf(cfg.StopOverflow, 0) {
+		return fmt.Errorf("placer: StopOverflow %g must be finite and >= 0", cfg.StopOverflow)
 	}
 	if cfg.Workers < 0 {
 		return fmt.Errorf("placer: Workers %d must be >= 0", cfg.Workers)
@@ -362,15 +374,12 @@ func newEngine(d *netlist.Design, cfg Config) (*engine, error) {
 
 	// Validate has rejected unknown schedules; "" picks by the model.
 	if cfg.Schedule == "tangent" || (cfg.Schedule == "" && cfg.Model.ParamKind() == wirelength.ParamMoreauT) {
-		en.schedule = TSchedule{T0: cfg.T0, Delta: cfg.Delta, BinW: en.grid.BinW, BinH: en.grid.BinH}.At
+		en.schedule = TSchedule{T0: t0, Delta: delta, BinW: en.grid.BinW, BinH: en.grid.BinH}.At
 	} else {
-		en.schedule = GammaSchedule{Gamma0: cfg.Gamma0, BinW: en.grid.BinW, BinH: en.grid.BinH}.At
+		en.schedule = GammaSchedule{Gamma0: gamma0, BinW: en.grid.BinW, BinH: en.grid.BinH}.At
 	}
 
 	en.targetDensity = d.TargetDensity
-	if cfg.TargetDensity > 0 {
-		en.targetDensity = cfg.TargetDensity
-	}
 	if en.targetDensity <= 0 || en.targetDensity > 1 {
 		en.targetDensity = 1
 	}
@@ -495,20 +504,11 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MaxIters <= 0 {
-		cfg.MaxIters = 1000
+	if cfg.MaxIters == 0 {
+		cfg.MaxIters = DefaultMaxIters
 	}
-	if cfg.StopOverflow <= 0 {
-		cfg.StopOverflow = 0.07
-	}
-	if cfg.Gamma0 <= 0 {
-		cfg.Gamma0 = 4.0
-	}
-	if cfg.T0 <= 0 {
-		cfg.T0 = 4.0
-	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = 1e-4
+	if cfg.StopOverflow == 0 {
+		cfg.StopOverflow = DefaultStopOverflow
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("placer: %w", err)
@@ -743,6 +743,9 @@ func PlaceContext(ctx context.Context, d *netlist.Design, cfg Config) (*Result, 
 			break
 		}
 	}
+	// Only the cap ends the loop with neither the hook nor the target; the
+	// negated test also counts a NaN overflow as not reached.
+	res.Capped = !res.Stopped && !(en.overflow < cfg.StopOverflow)
 
 	finalize()
 	return res, nil

@@ -3,6 +3,7 @@ package placer
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -290,6 +291,10 @@ func TestValidateRejectsNegativeKnobs(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
+		{"negative MaxIters", func(c *Config) { c.MaxIters = -5 }},
+		{"negative StopOverflow", func(c *Config) { c.StopOverflow = -0.1 }},
+		{"NaN StopOverflow", func(c *Config) { c.StopOverflow = math.NaN() }},
+		{"infinite StopOverflow", func(c *Config) { c.StopOverflow = math.Inf(1) }},
 		{"negative Workers", func(c *Config) { c.Workers = -1 }},
 		{"negative Checkpoint.Every", func(c *Config) { c.Checkpoint.Every = -5 }},
 		{"negative Checkpoint.Keep", func(c *Config) { c.Checkpoint.Keep = -1 }},

@@ -6,6 +6,15 @@ import (
 	"repro/internal/checkpoint"
 )
 
+// The schedule constants of the engine. The paper fixes t0 = 4 and
+// delta = 1e-4 for Eq. 14 and runs the exponential models on ePlace's
+// gamma0 = 4; a sweep of them edits these lines.
+const (
+	gamma0 = 4.0
+	t0     = 4.0
+	delta  = 1e-4
+)
+
 // GammaSchedule is the ePlace smoothing schedule for exponential wirelength
 // models (LSE/WA/BiG):
 //
@@ -33,9 +42,9 @@ func (s GammaSchedule) At(phi float64) float64 {
 //	t(phi) = t0/2 * (binW + binH) * tan(pi/2*phi - delta),
 //
 // with delta a small positive offset preventing the tangent from blowing up
-// at phi = 1. The result is clamped below by TMin to stay strictly positive
-// once the overflow gets small (the raw tangent crosses zero at
-// phi = 2*delta/pi).
+// at phi = 1. The result is clamped below by 1e-6 * (binW + binH) to stay
+// strictly positive once the overflow gets small (the raw tangent crosses
+// zero at phi = 2*delta/pi).
 type TSchedule struct {
 	// T0 is the base multiplier; the paper reports t0 = 4 works well.
 	T0 float64
@@ -43,17 +52,12 @@ type TSchedule struct {
 	Delta float64
 	// BinW, BinH are the density bin dimensions.
 	BinW, BinH float64
-	// TMin floors the parameter (default: 1e-6 * (binW+binH)).
-	TMin float64
 }
 
 // At returns t for density overflow phi.
 func (s TSchedule) At(phi float64) float64 {
 	phi = clampUnit(phi)
-	tmin := s.TMin
-	if tmin <= 0 {
-		tmin = 1e-6 * (s.BinW + s.BinH)
-	}
+	tmin := 1e-6 * (s.BinW + s.BinH)
 	// Keep the tangent argument strictly inside (-pi/2, pi/2).
 	arg := math.Pi/2*phi - s.Delta
 	if arg >= math.Pi/2 {

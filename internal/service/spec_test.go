@@ -50,3 +50,20 @@ func TestPlacerSpecWorkers(t *testing.T) {
 		t.Errorf("wl_workers request status = %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestPlacerSpecRejectsNegativeStops: a negative iteration cap or stop
+// overflow fails at submit instead of running silently at the default.
+func TestPlacerSpecRejectsNegativeStops(t *testing.T) {
+	for _, body := range []string{
+		`{"design": {"synth": {"cells": 100}}, "placer": {"max_iters": -5}}`,
+		`{"design": {"synth": {"cells": 100}}, "placer": {"stop_overflow": -0.1}}`,
+	} {
+		var spec JobSpec
+		if err := json.Unmarshal([]byte(body), &spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.Validate(""); err == nil {
+			t.Errorf("spec passed validation: %s", body)
+		}
+	}
+}
