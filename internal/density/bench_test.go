@@ -32,20 +32,38 @@ func BenchmarkElectroSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkStamp measures one full movable-cell scatter (50k smoothed
-// footprints) onto a 256x256 grid.
-func BenchmarkStamp(b *testing.B) {
+// BenchmarkStampGather measures the density half's per-point footprint work
+// on 50k entries over a 256x256 grid: one full stamp of every smoothed
+// footprint, which records each entry's bins, and one field gather that
+// reads them back. The entries mix cells with macros, some hanging past the
+// region edge.
+func BenchmarkStampGather(b *testing.B) {
 	const nCells = 50000
 	region := geom.Rect{XL: 0, YL: 0, XH: 1000, YH: 1000}
 	cx, cy, w, h := testCells(nCells, region, 3)
+	for i := range w {
+		w[i] /= 2
+		h[i] /= 2
+	}
 	g := NewGrid(region, 256, 256)
+	f := NewFootprints(g, w, h)
+	rng := rand.New(rand.NewSource(4))
+	ex := make([]float64, g.Nx*g.Ny)
+	ey := make([]float64, g.Nx*g.Ny)
+	for i := range ex {
+		ex[i], ey[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	fx, fy := make([]float64, nCells), make([]float64, nCells)
+	g.Clear()
+	f.Stamp(cx, cy, 0, nCells)
+	f.Gather(ex, ey, fx, fy)
+	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Clear()
-		for c := range cx {
-			g.StampSmoothed(cx[c], cy[c], w[c], h[c])
-		}
+		f.Stamp(cx, cy, 0, nCells)
+		f.Gather(ex, ey, fx, fy)
 	}
 }
 

@@ -70,14 +70,18 @@ func TestStampRectDistribution(t *testing.T) {
 
 func TestStampSmoothedConservesArea(t *testing.T) {
 	g := NewGrid(testRegion(), 16, 8)
-	// Tiny cell (1x1, smaller than sqrt2*4): expanded but area-preserving.
-	g.StampSmoothed(32, 16, 1, 1)
+	// Entry 0 is a tiny cell (1x1, smaller than sqrt2*4), entry 1 a large
+	// one (20x10), both centred at (32, 16).
+	f := NewFootprints(g, []float64{0.5, 10}, []float64{0.5, 5})
+	cx, cy := []float64{32, 32}, []float64{16, 16}
+	// Tiny cell: expanded but area-preserving.
+	f.Stamp(cx, cy, 0, 1)
 	if got := g.SumDensity(); math.Abs(got-1) > 1e-9 {
 		t.Errorf("smoothed stamp area = %g, want 1", got)
 	}
 	// Large cell: stamped at true size.
 	g.Clear()
-	g.StampSmoothed(32, 16, 20, 10)
+	f.Stamp(cx, cy, 1, 2)
 	if got := g.SumDensity(); math.Abs(got-200) > 1e-9 {
 		t.Errorf("large stamp area = %g, want 200", got)
 	}
@@ -247,8 +251,8 @@ func TestElectroFieldPointsAwayFromBlob(t *testing.T) {
 	}
 }
 
-// SampleSmoothed must act as the adjoint of StampSmoothed: sampling a
-// delta-field returns exactly the stamped weight of that bin.
+// Gather must act as the adjoint of Stamp: gathering a delta-field returns
+// exactly the stamped weight of that bin.
 func TestSampleSmoothedAdjoint(t *testing.T) {
 	g := NewGrid(testRegion(), 16, 8)
 	ex := make([]float64, 16*8)
@@ -257,12 +261,12 @@ func TestSampleSmoothedAdjoint(t *testing.T) {
 	ex[targetBin] = 1
 
 	cx, cy, w, h := 22.0, 13.0, 3.0, 2.0
-	fx, _ := g.SampleSmoothed(ex, ey, cx, cy, w, h)
-
-	g.Clear()
-	g.StampSmoothed(cx, cy, w, h)
-	if math.Abs(fx-g.Density[targetBin]) > 1e-12 {
-		t.Errorf("SampleSmoothed = %g, stamped weight = %g", fx, g.Density[targetBin])
+	f := NewFootprints(g, []float64{w / 2}, []float64{h / 2})
+	f.Stamp([]float64{cx}, []float64{cy}, 0, 1)
+	fx, fy := make([]float64, 1), make([]float64, 1)
+	f.Gather(ex, ey, fx, fy)
+	if math.Abs(fx[0]-g.Density[targetBin]) > 1e-12 {
+		t.Errorf("Gather = %g, stamped weight = %g", fx[0], g.Density[targetBin])
 	}
 }
 
@@ -273,30 +277,5 @@ func TestEnergyNonNegativeForBlob(t *testing.T) {
 	e.SolveFromGrid()
 	if e.Energy() <= 0 {
 		t.Errorf("blob energy = %g, want > 0", e.Energy())
-	}
-}
-
-func BenchmarkElectroSolve256(b *testing.B) {
-	g := NewGrid(geom.Rect{XL: 0, YL: 0, XH: 256, YH: 256}, 256, 256)
-	e := NewElectro(g)
-	rng := rand.New(rand.NewSource(2))
-	for i := range e.Rho {
-		e.Rho[i] = rng.Float64()
-	}
-	// Warm up once so short -benchtime runs measure the steady state.
-	e.Solve()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Solve()
-	}
-}
-
-func BenchmarkStampSmoothed(b *testing.B) {
-	g := NewGrid(geom.Rect{XL: 0, YL: 0, XH: 512, YH: 512}, 256, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.StampSmoothed(float64(i%500), float64((i*7)%500), 1.5, 1.5)
 	}
 }

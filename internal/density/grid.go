@@ -7,7 +7,6 @@ package density
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 )
@@ -24,6 +23,10 @@ type Grid struct {
 	Density []float64
 	// FixedDensity is the fixed-cell stamped area per bin; stamped once.
 	FixedDensity []float64
+
+	// laneX, laneY are the rectangle stamp's overlap lanes, one slot per
+	// bin column and row.
+	laneX, laneY []float64
 }
 
 // NewGrid creates an nx-by-ny grid over region. Both dimensions must be
@@ -43,6 +46,8 @@ func NewGrid(region geom.Rect, nx, ny int) *Grid {
 		BinH:         region.H() / float64(ny),
 		Density:      make([]float64, nx*ny),
 		FixedDensity: make([]float64, nx*ny),
+		laneX:        make([]float64, nx),
+		laneY:        make([]float64, ny),
 	}
 }
 
@@ -83,18 +88,32 @@ func (g *Grid) BinIndex(x, y float64) (ix, iy int) {
 func (g *Grid) BinArea() float64 { return g.BinW * g.BinH }
 
 // stampInto distributes area*scale of the rectangle [xl,xh]x[yl,yh] over the
-// bins of dst, proportionally to geometric overlap.
+// bins of dst, proportionally to geometric overlap. It walks the bins as the
+// per-point stamp does (walk, then deposit), through the grid's own lanes,
+// which any rectangle fits.
 func (g *Grid) stampInto(dst []float64, xl, yl, xh, yh, scale float64) {
-	if xh <= xl || yh <= yl || scale == 0 {
+	if scale == 0 {
 		return
 	}
-	// Clip to region.
+	bin0, nx, ny := g.walk(g.laneX, g.laneY, xl, yl, xh, yh)
+	g.deposit(dst, bin0, g.laneX[:nx], g.laneY[:ny], scale)
+}
+
+// walk clips the rectangle [xl,xh]x[yl,yh] to the region and writes its
+// overlap with each bin column it reaches into ox, and with each bin row
+// into oy, in bin order. It returns the first bin reached (row-major index)
+// and the numbers of columns and rows written, all 0 when the clipped
+// rectangle is empty. An overlap can be zero or negative at a rounded bin
+// edge; the readers skip those bins. The bins reached must fit in the
+// lanes' capacities, or the reslice panics: a lane never overruns into
+// whatever follows it.
+func (g *Grid) walk(ox, oy []float64, xl, yl, xh, yh float64) (bin0, nx, ny int) {
 	xl = max(xl, g.Region.XL)
 	yl = max(yl, g.Region.YL)
 	xh = min(xh, g.Region.XH)
 	yh = min(yh, g.Region.YH)
 	if xh <= xl || yh <= yl {
-		return
+		return 0, 0, 0
 	}
 	ix0 := int((xl - g.Region.XL) / g.BinW)
 	ix1 := int((xh - g.Region.XL) / g.BinW)
@@ -118,20 +137,36 @@ func (g *Grid) stampInto(dst []float64, xl, yl, xh, yh, scale float64) {
 	if iy1 >= g.Ny {
 		iy1 = g.Ny - 1
 	}
-	for iy := iy0; iy <= iy1; iy++ {
-		by := g.Region.YL + float64(iy)*g.BinH
-		oy := min(yh, by+g.BinH) - max(yl, by)
+	if ix1 < ix0 || iy1 < iy0 {
+		return 0, 0, 0
+	}
+	ox = ox[:ix1-ix0+1]
+	for k := range ox {
+		bx := g.Region.XL + float64(ix0+k)*g.BinW
+		ox[k] = min(xh, bx+g.BinW) - max(xl, bx)
+	}
+	oy = oy[:iy1-iy0+1]
+	for k := range oy {
+		by := g.Region.YL + float64(iy0+k)*g.BinH
+		oy[k] = min(yh, by+g.BinH) - max(yl, by)
+	}
+	return iy0*g.Nx + ix0, len(ox), len(oy)
+}
+
+// deposit adds ox[k]*oy[j]*scale to dst at bin bin0+j*Nx+k for every pair
+// of positive overlaps, row by row: the accumulation of every stamp.
+func (g *Grid) deposit(dst []float64, bin0 int, ox, oy []float64, scale float64) {
+	for j, oy := range oy {
 		if oy <= 0 {
 			continue
 		}
-		row := iy * g.Nx
-		for ix := ix0; ix <= ix1; ix++ {
-			bx := g.Region.XL + float64(ix)*g.BinW
-			ox := min(xh, bx+g.BinW) - max(xl, bx)
+		row := dst[bin0+j*g.Nx:]
+		row = row[:len(ox)]
+		for k, ox := range ox {
 			if ox <= 0 {
 				continue
 			}
-			dst[row+ix] += ox * oy * scale
+			row[k] += ox * oy * scale
 		}
 	}
 }
@@ -146,36 +181,6 @@ func (g *Grid) StampRect(xl, yl, xh, yh, scale float64) {
 // fixed density map.
 func (g *Grid) StampFixedRect(xl, yl, xh, yh, scale float64) {
 	g.stampInto(g.FixedDensity, xl, yl, xh, yh, scale)
-}
-
-// SmoothedFootprint returns the ePlace density footprint of a w-by-h cell
-// centered at (cx, cy): dimensions smaller than sqrt(2) bins are inflated to
-// sqrt(2) bins with a compensating density scale so the stamped area stays
-// w*h.
-func (g *Grid) SmoothedFootprint(cx, cy, w, h float64) (xl, yl, xh, yh, scale float64) {
-	const sq2 = math.Sqrt2
-	ew, eh := w, h
-	scale = 1.0
-	if minW := sq2 * g.BinW; ew < minW {
-		if ew > 0 {
-			scale *= ew / minW
-		}
-		ew = minW
-	}
-	if minH := sq2 * g.BinH; eh < minH {
-		if eh > 0 {
-			scale *= eh / minH
-		}
-		eh = minH
-	}
-	return cx - ew/2, cy - eh/2, cx + ew/2, cy + eh/2, scale
-}
-
-// StampSmoothed stamps a movable cell with the ePlace local smoothing; the
-// total stamped area equals w*h (up to clipping at the region boundary).
-func (g *Grid) StampSmoothed(cx, cy, w, h float64) {
-	xl, yl, xh, yh, scale := g.SmoothedFootprint(cx, cy, w, h)
-	g.StampRect(xl, yl, xh, yh, scale)
 }
 
 // Overflow computes the total density overflow
@@ -201,57 +206,6 @@ func (g *Grid) Overflow(targetDensity, totalMovableArea float64) float64 {
 		}
 	}
 	return sum / totalMovableArea
-}
-
-// SampleSmoothed integrates the per-bin field over the same smoothed
-// footprint used for stamping and returns the accumulated (fx, fy); this is
-// the electric force on the cell, the exact adjoint of StampSmoothed.
-func (g *Grid) SampleSmoothed(ex, ey []float64, cx, cy, w, h float64) (fx, fy float64) {
-	xl, yl, xh, yh, scale := g.SmoothedFootprint(cx, cy, w, h)
-	xl = max(xl, g.Region.XL)
-	yl = max(yl, g.Region.YL)
-	xh = min(xh, g.Region.XH)
-	yh = min(yh, g.Region.YH)
-	if xh <= xl || yh <= yl {
-		return 0, 0
-	}
-	ix0 := int((xl - g.Region.XL) / g.BinW)
-	ix1 := int((xh - g.Region.XL) / g.BinW)
-	iy0 := int((yl - g.Region.YL) / g.BinH)
-	iy1 := int((yh - g.Region.YL) / g.BinH)
-	// Same non-finite clamp as stampInto: int(NaN) is hugely negative, and
-	// the force sample must survive NaN positions for the guard to see them.
-	if ix0 < 0 {
-		ix0 = 0
-	}
-	if iy0 < 0 {
-		iy0 = 0
-	}
-	if ix1 >= g.Nx {
-		ix1 = g.Nx - 1
-	}
-	if iy1 >= g.Ny {
-		iy1 = g.Ny - 1
-	}
-	for iy := iy0; iy <= iy1; iy++ {
-		by := g.Region.YL + float64(iy)*g.BinH
-		oy := min(yh, by+g.BinH) - max(yl, by)
-		if oy <= 0 {
-			continue
-		}
-		row := iy * g.Nx
-		for ix := ix0; ix <= ix1; ix++ {
-			bx := g.Region.XL + float64(ix)*g.BinW
-			ox := min(xh, bx+g.BinW) - max(xl, bx)
-			if ox <= 0 {
-				continue
-			}
-			q := ox * oy * scale
-			fx += q * ex[row+ix]
-			fy += q * ey[row+ix]
-		}
-	}
-	return fx, fy
 }
 
 // SumDensity returns the total stamped movable area.

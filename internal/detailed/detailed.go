@@ -68,6 +68,11 @@ type state struct {
 	// rowOf and slotOf place each standard cell: its row index and its index
 	// into that row's items. Both are -1 for macros, fixed cells and pads.
 	rowOf, slotOf []int32
+	// boxes holds every net's pin bounding box at the current positions.
+	// buildState builds it and every position write refreshes the boxes of
+	// the moved cells' nets (refreshNets), so hpwlDelta reads a touched
+	// net's current box instead of walking its pins for every candidate.
+	boxes []box
 	// hpwlDelta's scratch: the nets a candidate touches, deduped by netMark,
 	// and the moved cells' trial positions, read where moved marks the cell.
 	nets       []int32
@@ -87,6 +92,11 @@ type state struct {
 	cost         [][]float64
 	costFlat     []float64
 	assign       hungarian
+}
+
+// box is a net's pin bounding box.
+type box struct {
+	xl, xh, yl, yh float64
 }
 
 // marks is a set of small non-negative integers that empties in O(1): k is
@@ -243,12 +253,51 @@ func buildState(d *netlist.Design) (*state, error) {
 			}
 		}
 	}
+	st.boxes = make([]box, len(d.Nets))
+	for e := range st.boxes {
+		st.boxes[e] = st.netBox(int32(e))
+	}
 	return st, nil
+}
+
+// netBox walks net e's pins and returns their bounding box at the current
+// positions.
+func (st *state) netBox(e int32) box {
+	d := st.d
+	ln := d.PinLanes()
+	pc, pdx, pdy := ln.PinCell, ln.PinDx, ln.PinDy
+	s0, s1 := d.NetStart[e], d.NetStart[e+1]
+	var b box
+	for i := s0; i < s1; i++ {
+		c := pc[i]
+		x := d.X[c] + pdx[i]
+		y := d.Y[c] + pdy[i]
+		if i == s0 {
+			b = box{x, x, y, y}
+			continue
+		}
+		b.xl = min(b.xl, x)
+		b.xh = max(b.xh, x)
+		b.yl = min(b.yl, y)
+		b.yh = max(b.yh, y)
+	}
+	return b
+}
+
+// refreshNets rebuilds the boxes of cell c's nets after a write to its
+// position.
+func (st *state) refreshNets(c int32) {
+	d := st.d
+	for _, pi := range d.PinsOfCell(int(c)) {
+		e := d.Pins[pi].Net
+		st.boxes[e] = st.netBox(e)
+	}
 }
 
 // hpwlDelta returns the change in total HPWL if cells[i] moved to (newX[i],
 // newY[i]) (negative is an improvement). It visits each touched net once, in
-// the order the cells' pins first reach it, and allocates nothing.
+// the order the cells' pins first reach it, walks its pins for the box after
+// the move and reads the box before it from boxes, and allocates nothing.
 func (st *state) hpwlDelta(cells []int32, newX, newY []float64) float64 {
 	d := st.d
 	st.moved.next()
@@ -271,33 +320,27 @@ func (st *state) hpwlDelta(cells []int32, newX, newY []float64) float64 {
 	delta := 0.0
 	for _, e := range nets {
 		s0, s1 := d.NetStart[e], d.NetStart[e+1]
-		var oxl, oxh, oyl, oyh float64
 		var nxl, nxh, nyl, nyh float64
 		for i := s0; i < s1; i++ {
 			c := pc[i]
-			ox := X[c] + pdx[i]
-			oy := Y[c] + pdy[i]
-			nx, ny := ox, oy
+			nx := X[c] + pdx[i]
+			ny := Y[c] + pdy[i]
 			if st.moved.has(c) {
 				nx = movX[c] + pdx[i]
 				ny = movY[c] + pdy[i]
 			}
 			if i == s0 {
-				oxl, oxh, oyl, oyh = ox, ox, oy, oy
 				nxl, nxh, nyl, nyh = nx, nx, ny, ny
 				continue
 			}
-			oxl = min(oxl, ox)
-			oxh = max(oxh, ox)
-			oyl = min(oyl, oy)
-			oyh = max(oyh, oy)
 			nxl = min(nxl, nx)
 			nxh = max(nxh, nx)
 			nyl = min(nyl, ny)
 			nyh = max(nyh, ny)
 		}
+		o := st.boxes[e]
 		w := d.Nets[e].Weight
-		delta += w * ((nxh - nxl + nyh - nyl) - (oxh - oxl + oyh - oyl))
+		delta += w * ((nxh - nxl + nyh - nyl) - (o.xh - o.xl + o.yh - o.yl))
 	}
 	return delta
 }

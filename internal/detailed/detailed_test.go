@@ -444,3 +444,68 @@ func BenchmarkDetailedISM(b *testing.B) {
 		}
 	}
 }
+
+// TestNetBoxesFollowEveryWrite applies each kind of position write — a
+// whitespace move, a swap, a reorder pass and an independent-set matching
+// pass — and after each one requires every net's kept box to equal a fresh
+// walk of its pins. Each write must change some box, so a write that skips
+// its refresh leaves a stale one behind.
+func TestNetBoxesFollowEveryWrite(t *testing.T) {
+	d := legalDesign(t, 300, 0, 17)
+	st, err := buildState(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(name string, write func() bool) {
+		t.Helper()
+		before := slices.Clone(st.boxes)
+		if !write() {
+			t.Fatalf("%s: nothing was written", name)
+		}
+		changed := false
+		for e := range st.boxes {
+			fresh := st.netBox(int32(e))
+			if st.boxes[e] != fresh {
+				t.Fatalf("%s: net %d keeps box %+v, a fresh walk gives %+v", name, e, st.boxes[e], fresh)
+			}
+			changed = changed || fresh != before[e]
+		}
+		if !changed {
+			t.Fatalf("%s changed no net's box", name)
+		}
+	}
+
+	var std []int32
+	for c := range d.Cells {
+		if st.rowOf[c] >= 0 && len(d.PinsOfCell(c)) > 0 {
+			std = append(std, int32(c))
+		}
+	}
+	apply("move", func() bool {
+		c := std[0]
+		w := d.Cells[c].W
+		for k := 1; k < len(st.rows); k++ {
+			ri := (int(st.rowOf[c]) + len(st.rows)/2 + k) % len(st.rows)
+			row := &st.rows[ri]
+			lo, hi, gi := st.gapAround(ri, (row.xl+row.xh)/2, w, c)
+			if gi >= 0 {
+				st.applyMove(c, ri, math.Max(lo, math.Min((row.xl+row.xh)/2, hi-w)))
+				return true
+			}
+		}
+		return false
+	})
+	apply("swap", func() bool {
+		for _, a := range std {
+			for _, b := range std {
+				if d.Cells[a].W == d.Cells[b].W && math.Abs(d.Y[a]-d.Y[b]) > d.Region.H()/3 {
+					st.applySwap(a, b)
+					return true
+				}
+			}
+		}
+		return false
+	})
+	apply("reorder", func() bool { return st.reorderPass(maxWindow) > 0 })
+	apply("ISM", func() bool { return st.ismPass(8) > 0 })
+}

@@ -128,6 +128,9 @@ func (st *state) matchBatch(batch []int32) bool {
 		st.rowOf[c] = l.row
 		st.slotOf[c] = l.slot
 	}
+	for _, c := range batch {
+		st.refreshNets(c)
+	}
 	return true
 }
 

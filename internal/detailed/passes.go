@@ -179,6 +179,7 @@ func (st *state) applyMove(c int32, ri int, x float64) {
 	row.items[pos] = entry{x: x, w: d.Cells[c].W, cell: c}
 	st.reslot(row, pos)
 	st.rowOf[c] = int32(ri)
+	st.refreshNets(c)
 }
 
 // reslot re-indexes slotOf for the row's cells from slot from on.
@@ -201,6 +202,8 @@ func (st *state) applySwap(c, s int32) {
 	st.rows[rs].items[ss].cell = c
 	st.rowOf[c], st.rowOf[s] = rs, rc
 	st.slotOf[c], st.slotOf[s] = ss, sc
+	st.refreshNets(c)
+	st.refreshNets(s)
 }
 
 // reorderPass permutes windows of consecutive cells within each row,
@@ -272,6 +275,9 @@ func (st *state) reorderPass(window int) int {
 				row.items[start+j] = entry{x: x, w: d.Cells[c].W, cell: c}
 				st.slotOf[c] = int32(start + j)
 				x += d.Cells[c].W
+			}
+			for _, c := range cells {
+				st.refreshNets(c)
 			}
 			accepted++
 		}

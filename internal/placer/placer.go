@@ -196,6 +196,9 @@ type engine struct {
 
 	grid *density.Grid
 	elec *density.Electro
+	// fp stamps every entry's smoothed footprint and gathers the field over
+	// it, in the same order as halfW/halfH.
+	fp *density.Footprints
 
 	// project clamps a position vector into the placeable region.
 	project func([]float64)
@@ -415,6 +418,7 @@ func newEngine(d *netlist.Design, cfg Config) (*engine, error) {
 		en.halfW[len(en.mov)+f] = en.fillerW / 2
 		en.halfH[len(en.mov)+f] = en.fillerH / 2
 	}
+	en.fp = density.NewFootprints(en.grid, en.halfW, en.halfH)
 
 	en.project = func(p []float64) {
 		r := d.Region
@@ -814,14 +818,11 @@ func (en *engine) unpack(pos []float64) {
 func (en *engine) stampAndOverflow(pos []float64) float64 {
 	nm := len(en.mov)
 	n := nm + en.numFillers
+	x, y := pos[:n], pos[n:]
 	en.grid.Clear()
-	for i := 0; i < nm; i++ {
-		en.grid.StampSmoothed(pos[i], pos[n+i], 2*en.halfW[i], 2*en.halfH[i])
-	}
+	en.fp.Stamp(x, y, 0, nm)
 	phi := en.grid.Overflow(en.targetDensity, en.overflowArea)
-	for i := nm; i < n; i++ {
-		en.grid.StampSmoothed(pos[i], pos[n+i], en.fillerW, en.fillerH)
-	}
+	en.fp.Stamp(x, y, nm, n)
 	return phi
 }
 
@@ -845,8 +846,9 @@ func (en *engine) calibrateLambda0() float64 {
 
 // density computes the half of the objective that depends on positions
 // alone — stamping, overflow, the spectral solve, the energy, and the field
-// sampled at each entry's smoothed footprint — and keeps it for pos. The
-// caller completes the kept evaluation with the wirelength half at pos.
+// gathered over each entry's smoothed footprint where the stamp placed it —
+// and keeps it for pos. The caller completes the kept evaluation with the
+// wirelength half at pos.
 func (en *engine) density(pos []float64) {
 	o := en.cfg.Obs
 	sp := o.StartPhase(obs.PhaseStamp)
@@ -857,10 +859,7 @@ func (en *engine) density(pos []float64) {
 	en.denEnergy = en.elec.Energy()
 	sp.End()
 	sp = o.StartPhase(obs.PhaseGather)
-	n := len(en.mov) + en.numFillers
-	for i := 0; i < n; i++ {
-		en.fx[i], en.fy[i] = en.grid.SampleSmoothed(en.elec.Ex, en.elec.Ey, pos[i], pos[n+i], 2*en.halfW[i], 2*en.halfH[i])
-	}
+	en.fp.Gather(en.elec.Ex, en.elec.Ey, en.fx, en.fy)
 	sp.End()
 	en.key = append(en.key[:0], pos...)
 }

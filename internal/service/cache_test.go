@@ -107,6 +107,38 @@ func TestCacheExactHitBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCacheHitReportsCapped: an exact hit reports the capped flag of the
+// run that filled the entry. A job held at a 5-iteration cap with an
+// unreachable overflow target reads Capped on its miss and on its
+// resubmission's hit; a job that reaches its target reads it on neither.
+func TestCacheHitReportsCapped(t *testing.T) {
+	m := newDurableManager(t, t.TempDir(), 1)
+	capped := cacheSpec(120)
+	capped.Placer.MaxIters = 5
+	capped.Placer.StopOverflow = 1e-9
+	converged := cacheSpec(120)
+	converged.Placer.StopOverflow = 0.5
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		want bool
+	}{{"capped", capped, true}, {"converged", converged, false}} {
+		for _, outcome := range []string{"miss", "hit"} {
+			v, err := m.Submit(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := waitState(t, m, v.ID, StateDone)
+			if done.Cache != outcome {
+				t.Fatalf("%s: cache outcome %q, want %s", tc.name, done.Cache, outcome)
+			}
+			if done.Result == nil || done.Result.Capped != tc.want {
+				t.Errorf("%s %s: result %+v, want Capped %v", tc.name, outcome, done.Result, tc.want)
+			}
+		}
+	}
+}
+
 // TestCacheHitSurvivesRestart reopens the manager on the same data dir and
 // expects the resubmission to hit the recovered cache.
 func TestCacheHitSurvivesRestart(t *testing.T) {

@@ -750,11 +750,22 @@ func (m *Manager) run(j *job) {
 // stored positions are the final placement (bit-identical to the run that
 // produced them), so the job reports done without one GP iteration. As in
 // run, the counters are updated before done is published.
+//
+// The entry keeps no capped flag; its overflow against the effective stop
+// overflow gives it back. The stopping knobs are in the cache key, so they
+// are the ones the run used, and only the iteration cap ends a cached run
+// above its target: placerd's iteration hook never stops a run, and a run
+// ended by the guard, a cancel or a deadline leaves no entry. As in placer,
+// a NaN overflow counts as not below the target.
 func (m *Manager) serveCacheHit(j *job, d *netlist.Design, cached *checkpoint.PlacementResult) {
 	copy(d.X, cached.X)
 	copy(d.Y, cached.Y)
 	j.setCacheOutcome("hit")
 	m.tel.CacheHits.Inc()
+	stop := j.spec.Placer.StopOverflow
+	if stop == 0 {
+		stop = placer.DefaultStopOverflow
+	}
 	m.apply(j, transition{from: StateRunning, to: StateDone, result: &core.FlowResult{ //nolint:errcheck // only run ends a running job
 		Design:   d.Name,
 		Model:    j.spec.modelName(),
@@ -762,6 +773,7 @@ func (m *Manager) serveCacheHit(j *job, d *netlist.Design, cached *checkpoint.Pl
 		LGWL:     cached.HPWL,
 		DPWL:     cached.HPWL,
 		Overflow: cached.Overflow,
+		Capped:   !(cached.Overflow < stop),
 	}})
 	m.log.Info("job served from cache", "job", j.id, "design", d.Name, "hpwl", cached.HPWL)
 }
