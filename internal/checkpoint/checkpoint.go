@@ -24,12 +24,13 @@ import (
 )
 
 // Magic identifies a snapshot file; Version is the current format revision.
-// Version 3 dropped the worker count from the fingerprint; files of older
+// Version 3 dropped the worker count from the fingerprint, and version 4
+// added the smoothing schedule and the preconditioner to it; files of older
 // versions fail Decode with ErrVersion, so resume scans skip them and the
 // run cold-starts.
 const (
 	Magic   = "MEGPCKPT"
-	Version = 3
+	Version = 4
 )
 
 // Typed decode failures. Every malformed input maps onto one of these
@@ -46,8 +47,9 @@ var (
 
 // Fingerprint pins a snapshot to the exact run configuration it came from.
 // Resume is refused unless every field matches: bit-exact resume holds only
-// for the same netlist, grid, model, and optimizer. The deprecated worker
-// count is absent because the engine ignores it.
+// for the same netlist, grid, model, optimizer, smoothing schedule and
+// preconditioner. The deprecated worker count is absent because the engine
+// ignores it.
 type Fingerprint struct {
 	Design     string
 	NumCells   int
@@ -69,6 +71,11 @@ type Fingerprint struct {
 	// run that releases a different set: the packed position vector only
 	// covers released cells.
 	FreezeHash uint64
+	// Schedule is the smoothing schedule the run resolved, "tangent" or
+	// "gamma", and Precondition whether it preconditions the gradient:
+	// both change the trajectory.
+	Schedule     string
+	Precondition bool
 }
 
 // Match reports whether other is the same run setup, returning an
@@ -96,6 +103,8 @@ func (f Fingerprint) Match(other Fingerprint) error {
 		{"region_xh", f.RegionXH, other.RegionXH},
 		{"region_yh", f.RegionYH, other.RegionYH},
 		{"freeze_mask", f.FreezeHash, other.FreezeHash},
+		{"schedule", f.Schedule, other.Schedule},
+		{"precondition", f.Precondition, other.Precondition},
 	}
 	for _, fl := range fields {
 		if fl.a != fl.b {
@@ -314,6 +323,8 @@ func Encode(s *Snapshot) []byte {
 	p.f64(f.RegionXH)
 	p.f64(f.RegionYH)
 	p.u64(f.FreezeHash)
+	p.str(f.Schedule)
+	p.boolean(f.Precondition)
 
 	p.i64(int64(s.Iter))
 	p.i64(int64(s.Evaluations))
@@ -383,6 +394,8 @@ func Decode(data []byte) (*Snapshot, error) {
 	f.RegionXH = d.f64()
 	f.RegionYH = d.f64()
 	f.FreezeHash = d.u64()
+	f.Schedule = d.str()
+	f.Precondition = d.boolean()
 
 	s.Iter = int(d.i64())
 	s.Evaluations = int(d.i64())

@@ -26,6 +26,7 @@ func sampleSnapshot() *Snapshot {
 			Model: "ME", Optimizer: "nesterov", Seed: 7,
 			TargetDensity: 0.85,
 			RegionXL:      -1.5, RegionYL: 0, RegionXH: 100.25, RegionYH: 50,
+			Schedule: "tangent", Precondition: true,
 		},
 		Iter:        42,
 		Evaluations: 97,

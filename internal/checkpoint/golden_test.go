@@ -16,7 +16,7 @@ func TestGoldenBytes(t *testing.T) {
 		size int
 		sha  string
 	}{
-		{"snapshot", Encode(sampleSnapshot()), 660, "07c273ea2a7893bf96dca388c2babafe03909730653fbcf2bbd6257cf18a5408"},
+		{"snapshot", Encode(sampleSnapshot()), 672, "953057c1dadb6488d6a362e3de708b47c80da64e3492e6b44ec4af33fd867a63"},
 		{"result", EncodeResult(sampleResult()), 176, "d9bb1aecaa21344266cf9705e1da0378197e09dbba80776d50e3b25eb95f7e91"},
 	} {
 		sum := sha256.Sum256(tc.data)

@@ -61,10 +61,10 @@ func TestElectroParallelMatchesSerial(t *testing.T) {
 			wg.Wait()
 			for w, e := range solvers {
 				for name, pair := range map[string][2][]float64{
-					"Coeff": {e.Coeff, serial.Coeff},
-					"Psi":   {e.Psi, serial.Psi},
-					"Ex":    {e.Ex, serial.Ex},
-					"Ey":    {e.Ey, serial.Ey},
+					"coeffT": {e.coeffT, serial.coeffT},
+					"Psi":    {e.Psi, serial.Psi},
+					"Ex":     {e.Ex, serial.Ex},
+					"Ey":     {e.Ey, serial.Ey},
 				} {
 					if i := firstDiff(pair[0], pair[1]); i >= 0 {
 						t.Errorf("%dx%d, %d solvers, solver %d: %s[%d] = %v, serial %v", nx, ny, workers, w, name, i, pair[0][i], pair[1][i])

@@ -28,27 +28,27 @@ func TestBinGeometry(t *testing.T) {
 	if g.BinW != 4 || g.BinH != 4 {
 		t.Fatalf("bin size = %gx%g, want 4x4", g.BinW, g.BinH)
 	}
-	ix, iy := g.BinIndex(5, 9)
-	if ix != 1 || iy != 2 {
-		t.Errorf("BinIndex(5,9) = %d,%d", ix, iy)
+}
+
+// sum returns the total of a density map.
+func sum(m []float64) float64 {
+	s := 0.0
+	for _, v := range m {
+		s += v
 	}
-	// Clamping outside the region.
-	ix, iy = g.BinIndex(-10, 1000)
-	if ix != 0 || iy != 7 {
-		t.Errorf("clamped BinIndex = %d,%d", ix, iy)
-	}
+	return s
 }
 
 func TestStampRectConservesArea(t *testing.T) {
 	g := NewGrid(testRegion(), 16, 8)
-	g.StampRect(3, 5, 13, 11, 1)
-	if got, want := g.SumDensity(), 60.0; math.Abs(got-want) > 1e-9 {
+	g.StampFixedRect(3, 5, 13, 11, 1)
+	if got, want := sum(g.FixedDensity), 60.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("stamped area = %g, want %g", got, want)
 	}
 	// A rect crossing the region boundary only deposits the clipped part.
-	g.Clear()
-	g.StampRect(-10, -10, 4, 4, 1)
-	if got, want := g.SumDensity(), 16.0; math.Abs(got-want) > 1e-9 {
+	clear(g.FixedDensity)
+	g.StampFixedRect(-10, -10, 4, 4, 1)
+	if got, want := sum(g.FixedDensity), 16.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("clipped stamped area = %g, want %g", got, want)
 	}
 }
@@ -56,15 +56,15 @@ func TestStampRectConservesArea(t *testing.T) {
 func TestStampRectDistribution(t *testing.T) {
 	g := NewGrid(testRegion(), 16, 8)
 	// A 2x2 rect exactly in the corner of bin (0,0).
-	g.StampRect(0, 0, 2, 2, 1)
-	if g.Density[0] != 4 {
-		t.Errorf("bin(0,0) = %g, want 4", g.Density[0])
+	g.StampFixedRect(0, 0, 2, 2, 1)
+	if g.FixedDensity[0] != 4 {
+		t.Errorf("bin(0,0) = %g, want 4", g.FixedDensity[0])
 	}
 	// A rect straddling two bins horizontally splits proportionally.
-	g.Clear()
-	g.StampRect(3, 0, 5, 1, 1)
-	if math.Abs(g.Density[0]-1) > 1e-12 || math.Abs(g.Density[1]-1) > 1e-12 {
-		t.Errorf("straddle split = %g, %g, want 1, 1", g.Density[0], g.Density[1])
+	clear(g.FixedDensity)
+	g.StampFixedRect(3, 0, 5, 1, 1)
+	if math.Abs(g.FixedDensity[0]-1) > 1e-12 || math.Abs(g.FixedDensity[1]-1) > 1e-12 {
+		t.Errorf("straddle split = %g, %g, want 1, 1", g.FixedDensity[0], g.FixedDensity[1])
 	}
 }
 
@@ -76,13 +76,13 @@ func TestStampSmoothedConservesArea(t *testing.T) {
 	cx, cy := []float64{32, 32}, []float64{16, 16}
 	// Tiny cell: expanded but area-preserving.
 	f.Stamp(cx, cy, 0, 1)
-	if got := g.SumDensity(); math.Abs(got-1) > 1e-9 {
+	if got := sum(g.Density); math.Abs(got-1) > 1e-9 {
 		t.Errorf("smoothed stamp area = %g, want 1", got)
 	}
 	// Large cell: stamped at true size.
 	g.Clear()
 	f.Stamp(cx, cy, 1, 2)
-	if got := g.SumDensity(); math.Abs(got-200) > 1e-9 {
+	if got := sum(g.Density); math.Abs(got-200) > 1e-9 {
 		t.Errorf("large stamp area = %g, want 200", got)
 	}
 }
@@ -105,7 +105,7 @@ func TestOverflow(t *testing.T) {
 	}
 	// Uniform spread at exactly target density has no overflow.
 	g.Clear()
-	g.ClearFixed()
+	clear(g.FixedDensity)
 	for i := range g.Density {
 		g.Density[i] = 8 // half of bin area, target 0.5
 	}
@@ -233,8 +233,9 @@ func TestElectroUniformDensityZeroField(t *testing.T) {
 func TestElectroFieldPointsAwayFromBlob(t *testing.T) {
 	g := NewGrid(geom.Rect{XL: 0, YL: 0, XH: 64, YH: 64}, 64, 64)
 	e := NewElectro(g)
-	// Blob in the center.
-	g.StampRect(28, 28, 36, 36, 1)
+	// Blob in the center: one 8x8 cell, wider than the smoothing floor, so
+	// it stamps at its true size.
+	NewFootprints(g, []float64{4}, []float64{4}).Stamp([]float64{32}, []float64{32}, 0, 1)
 	e.SolveFromGrid()
 	// Right of the blob: Ex should be positive (pointing right/outward).
 	iRight := 32*g.Nx + 44
@@ -273,7 +274,7 @@ func TestSampleSmoothedAdjoint(t *testing.T) {
 func TestEnergyNonNegativeForBlob(t *testing.T) {
 	g := NewGrid(geom.Rect{XL: 0, YL: 0, XH: 64, YH: 64}, 32, 32)
 	e := NewElectro(g)
-	g.StampRect(24, 24, 40, 40, 1)
+	NewFootprints(g, []float64{8}, []float64{8}).Stamp([]float64{32}, []float64{32}, 0, 1)
 	e.SolveFromGrid()
 	if e.Energy() <= 0 {
 		t.Errorf("blob energy = %g, want > 0", e.Energy())

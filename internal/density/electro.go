@@ -24,7 +24,7 @@ import (
 // precomputed column-major lanes that the fused fft.IDCTScale/IDXSTScale
 // entry points consume during the spectrum-packing pass — no separate
 // whole-grid scaling loop and no per-Solve divisions. A full Solve performs
-// five tiled transposes (two forward, one per synthesis back to row-major)
+// four tiled transposes (one forward, one per synthesis back to row-major)
 // instead of the eight of a row-major pipeline.
 //
 // A Solve runs on the caller's goroutine and reuses the solver's buffers
@@ -47,14 +47,11 @@ type Electro struct {
 
 	// Rho is the input utilization per bin (filled by SolveFromGrid).
 	Rho []float64
-	// Coeff holds the 2-D DCT of Rho after Solve (row-major, v*nx+u).
-	Coeff []float64
 	// Psi is the potential, Ex/Ey the field components, all per bin.
 	Psi, Ex, Ey []float64
 
-	// coeffT is the canonical column-major coefficient store (nx columns of
-	// ny, index u*ny+v); Coeff is its row-major transpose kept for external
-	// consumers.
+	// coeffT holds the 2-D DCT of Rho after Solve, column-major (nx
+	// columns of ny, index u*ny+v).
 	coeffT []float64
 	// tbuf is the column-major intermediate of each synthesis.
 	tbuf []float64
@@ -74,7 +71,6 @@ func NewElectro(g *Grid) *Electro {
 		wu:      make([]float64, g.Nx),
 		wv:      make([]float64, g.Ny),
 		Rho:     make([]float64, g.Nx*g.Ny),
-		Coeff:   make([]float64, g.Nx*g.Ny),
 		Psi:     make([]float64, g.Nx*g.Ny),
 		Ex:      make([]float64, g.Nx*g.Ny),
 		Ey:      make([]float64, g.Nx*g.Ny),
@@ -128,9 +124,9 @@ func transposeInto(dst, src []float64, rows, cols int) {
 	}
 }
 
-// dct2DForward computes the 2-D DCT-II of Rho into coeffT (column-major) and
-// mirrors it into Coeff (row-major). Rows transform into tbuf; the transpose
-// makes each column a contiguous row of coeffT for the second pass.
+// dct2DForward computes the 2-D DCT-II of Rho into coeffT (column-major).
+// Rows transform into tbuf; the transpose makes each column a contiguous
+// row of coeffT for the second pass.
 func (e *Electro) dct2DForward() {
 	nx, ny := e.g.Nx, e.g.Ny
 	for iy := 0; iy < ny; iy++ {
@@ -141,7 +137,6 @@ func (e *Electro) dct2DForward() {
 		col := e.coeffT[ix*ny : (ix+1)*ny]
 		e.planY.DCT2(col, col)
 	}
-	transposeInto(e.Coeff, e.coeffT, nx, ny)
 }
 
 // synth2D synthesizes dst from the column-major coefficients coeffT: the

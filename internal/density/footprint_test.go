@@ -166,7 +166,7 @@ func TestFootprintsMatchReference(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(6))
 	want := make([]float64, len(g.FixedDensity))
-	g.ClearFixed()
+	clear(g.FixedDensity)
 	for k := 0; k < 500; k++ {
 		xl := region.XL - 5 + rng.Float64()*(region.W()+10)
 		yl := region.YL - 5 + rng.Float64()*(region.H()+10)

@@ -58,46 +58,8 @@ func (g *Grid) Clear() {
 	}
 }
 
-// ClearFixed zeroes the fixed density map.
-func (g *Grid) ClearFixed() {
-	for i := range g.FixedDensity {
-		g.FixedDensity[i] = 0
-	}
-}
-
-// BinIndex returns the bin column/row containing x, y, clamped to the grid.
-func (g *Grid) BinIndex(x, y float64) (ix, iy int) {
-	ix = int((x - g.Region.XL) / g.BinW)
-	iy = int((y - g.Region.YL) / g.BinH)
-	if ix < 0 {
-		ix = 0
-	}
-	if ix >= g.Nx {
-		ix = g.Nx - 1
-	}
-	if iy < 0 {
-		iy = 0
-	}
-	if iy >= g.Ny {
-		iy = g.Ny - 1
-	}
-	return
-}
-
 // BinArea returns the area of one bin.
 func (g *Grid) BinArea() float64 { return g.BinW * g.BinH }
-
-// stampInto distributes area*scale of the rectangle [xl,xh]x[yl,yh] over the
-// bins of dst, proportionally to geometric overlap. It walks the bins as the
-// per-point stamp does (walk, then deposit), through the grid's own lanes,
-// which any rectangle fits.
-func (g *Grid) stampInto(dst []float64, xl, yl, xh, yh, scale float64) {
-	if scale == 0 {
-		return
-	}
-	bin0, nx, ny := g.walk(g.laneX, g.laneY, xl, yl, xh, yh)
-	g.deposit(dst, bin0, g.laneX[:nx], g.laneY[:ny], scale)
-}
 
 // walk clips the rectangle [xl,xh]x[yl,yh] to the region and writes its
 // overlap with each bin column it reaches into ox, and with each bin row
@@ -171,16 +133,16 @@ func (g *Grid) deposit(dst []float64, bin0 int, ox, oy []float64, scale float64)
 	}
 }
 
-// StampRect adds the rectangle's overlap area (times scale) to the movable
-// density map.
-func (g *Grid) StampRect(xl, yl, xh, yh, scale float64) {
-	g.stampInto(g.Density, xl, yl, xh, yh, scale)
-}
-
-// StampFixedRect adds the rectangle's overlap area (times scale) to the
-// fixed density map.
+// StampFixedRect distributes area*scale of the rectangle [xl,xh]x[yl,yh]
+// over the bins of the fixed density map, proportionally to geometric
+// overlap. It walks the bins as the per-point stamp does (walk, then
+// deposit), through the grid's own lanes, which any rectangle fits.
 func (g *Grid) StampFixedRect(xl, yl, xh, yh, scale float64) {
-	g.stampInto(g.FixedDensity, xl, yl, xh, yh, scale)
+	if scale == 0 {
+		return
+	}
+	bin0, nx, ny := g.walk(g.laneX, g.laneY, xl, yl, xh, yh)
+	g.deposit(g.FixedDensity, bin0, g.laneX[:nx], g.laneY[:ny], scale)
 }
 
 // Overflow computes the total density overflow
@@ -206,13 +168,4 @@ func (g *Grid) Overflow(targetDensity, totalMovableArea float64) float64 {
 		}
 	}
 	return sum / totalMovableArea
-}
-
-// SumDensity returns the total stamped movable area.
-func (g *Grid) SumDensity() float64 {
-	s := 0.0
-	for _, v := range g.Density {
-		s += v
-	}
-	return s
 }

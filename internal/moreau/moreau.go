@@ -108,12 +108,30 @@ func Levels(sorted []float64, t float64) Result {
 	tau1 := WaterFillLower(sorted, t)
 	tau2 := WaterFillUpper(sorted, t)
 	if tau1 > tau2 {
-		mean := 0.0
-		for _, v := range sorted {
-			mean += v
-		}
-		mean /= float64(len(sorted))
-		return Result{Tau1: mean, Tau2: mean, Degenerate: true}
+		m := mean(sorted)
+		return Result{Tau1: m, Tau2: m, Degenerate: true}
+	}
+	return Result{Tau1: tau1, Tau2: tau2}
+}
+
+// levels2 is Levels for a two-pin net, in closed form: the arithmetic the
+// sort and the two sweeps perform on two coordinates, without the scratch
+// copy or the loops. With lo, hi the sorted pair, dq = hi-lo is >= +0, so
+// the sweeps' 0+dq, 1*dq and division by 1 are exact and drop out; the
+// mean keeps its sum order, 0+lo first. The results are bit-identical to
+// Levels on the sorted pair (TestGradBatchMatchesReference).
+func levels2(x0, x1, t float64) Result {
+	lo, hi := min(x0, x1), max(x0, x1)
+	dq := hi - lo
+	var tau1, tau2 float64
+	if dq > t {
+		tau1, tau2 = hi-(dq-t), lo+(dq-t)
+	} else {
+		tau1, tau2 = hi+(t-dq)/2, lo-(t-dq)/2
+	}
+	if tau1 > tau2 {
+		m := ((0 + lo) + hi) / 2
+		return Result{Tau1: m, Tau2: m, Degenerate: true}
 	}
 	return Result{Tau1: tau1, Tau2: tau2}
 }
@@ -125,32 +143,6 @@ func mean(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
-}
-
-// envelopeFromLevels finishes the envelope value given resolved levels.
-func envelopeFromLevels(x []float64, t float64, r *Result) {
-	if r.Degenerate {
-		// prox = mean vector; W_e(mean vector) = 0.
-		m := r.Tau1
-		ss := 0.0
-		for _, v := range x {
-			d := v - m
-			ss += d * d
-		}
-		r.Value = ss / (2 * t)
-		return
-	}
-	ss := 0.0
-	for _, v := range x {
-		if v > r.Tau2 {
-			d := v - r.Tau2
-			ss += d * d
-		} else if v < r.Tau1 {
-			d := r.Tau1 - v
-			ss += d * d
-		}
-	}
-	r.Value = (r.Tau2 - r.Tau1) + ss/(2*t)
 }
 
 // Evaluator computes envelopes, proximal points, and gradients for many
@@ -169,15 +161,18 @@ func NewEvaluator(maxDegree int) *Evaluator {
 }
 
 // insertionSortMax is the largest net degree sorted with insertion sort.
-// Real netlists are dominated by 2-4 pin nets, where insertion sort beats
-// sort.Float64s' interface and pdqsort overhead by a wide margin; beyond a
-// few dozen elements the O(n^2) worst case loses to the generic sort.
+// Real netlists are dominated by small nets, which sorting networks handle
+// through 8 pins; above that insertion sort beats sort.Float64s' interface
+// and pdqsort overhead, and beyond a few dozen elements its O(n^2) worst
+// case loses to the generic sort.
 const insertionSortMax = 32
 
 // insertionSort sorts s ascending in place. It is exact-equivalent to
-// sort.Float64s for any input (see TestSortFastPathMatchesGeneric); NaNs,
-// which sort.Float64s leaves in unspecified positions, never reach it —
-// checkArgs rejects them upstream via the kernel layer.
+// sort.Float64s on any input without NaNs (see
+// TestSortFastPathMatchesGeneric). No layer rejects NaN coordinates, which
+// a diverging run can produce; it and the sorting networks place them
+// differently from sort.Float64s, so such an evaluation's bits are not
+// pinned.
 func insertionSort(s []float64) {
 	for i := 1; i < len(s); i++ {
 		v := s[i]
@@ -190,35 +185,119 @@ func insertionSort(s []float64) {
 	}
 }
 
+// cx is one comparator of a sorting network: a and b in ascending order.
+func cx(a, b float64) (float64, float64) { return min(a, b), max(a, b) }
+
 // sortedCopy copies x into the scratch buffer and sorts it ascending.
-// Small nets (the overwhelming majority in real netlists) take the
-// insertion-sort fast path; larger nets fall back to the generic sort.
+// Nets of 3 to 8 pins sort in registers with sorting networks of the fewest
+// comparators known (3, 5, 9, 12, 16 and 19), with no data-dependent loop.
+// A network's output is the ascending sequence any comparison sort returns
+// (the 0-1 principle, checked exhaustively by
+// TestSortFastPathMatchesGeneric; only +0 and -0, which compare equal, may
+// trade places), so everything downstream keeps its bits. Other nets take
+// insertion sort, and beyond insertionSortMax the generic sort.
 func (ev *Evaluator) sortedCopy(x []float64) []float64 {
-	s := append(ev.scratch[:0], x...)
-	ev.scratch = s[:0]
-	// Degrees 2-4 dominate real netlists; fixed sorting networks avoid the
-	// insertion-sort call and its data-dependent inner loop entirely. A
-	// network produces the same ascending output as any comparison sort, so
-	// everything downstream stays bit-identical.
+	if cap(ev.scratch) < len(x) {
+		ev.scratch = make([]float64, 0, len(x))
+	}
+	s := ev.scratch[:len(x)]
 	switch len(s) {
-	case 0, 1:
-		return s
-	case 2:
-		s[0], s[1] = min(s[0], s[1]), max(s[0], s[1])
-		return s
 	case 3:
-		s[0], s[1] = min(s[0], s[1]), max(s[0], s[1])
-		s[1], s[2] = min(s[1], s[2]), max(s[1], s[2])
-		s[0], s[1] = min(s[0], s[1]), max(s[0], s[1])
+		q := (*[3]float64)(x)
+		a, b, c := q[0], q[1], q[2]
+		a, b = cx(a, b)
+		b, c = cx(b, c)
+		a, b = cx(a, b)
+		*(*[3]float64)(s) = [3]float64{a, b, c}
 		return s
 	case 4:
-		s[0], s[1] = min(s[0], s[1]), max(s[0], s[1])
-		s[2], s[3] = min(s[2], s[3]), max(s[2], s[3])
-		s[0], s[2] = min(s[0], s[2]), max(s[0], s[2])
-		s[1], s[3] = min(s[1], s[3]), max(s[1], s[3])
-		s[1], s[2] = min(s[1], s[2]), max(s[1], s[2])
+		q := (*[4]float64)(x)
+		a, b, c, d := q[0], q[1], q[2], q[3]
+		a, b = cx(a, b)
+		c, d = cx(c, d)
+		a, c = cx(a, c)
+		b, d = cx(b, d)
+		b, c = cx(b, c)
+		*(*[4]float64)(s) = [4]float64{a, b, c, d}
+		return s
+	case 5:
+		q := (*[5]float64)(x)
+		a, b, c, d, e := q[0], q[1], q[2], q[3], q[4]
+		a, d = cx(a, d)
+		b, e = cx(b, e)
+		a, c = cx(a, c)
+		b, d = cx(b, d)
+		a, b = cx(a, b)
+		c, e = cx(c, e)
+		b, c = cx(b, c)
+		d, e = cx(d, e)
+		c, d = cx(c, d)
+		*(*[5]float64)(s) = [5]float64{a, b, c, d, e}
+		return s
+	case 6:
+		q := (*[6]float64)(x)
+		a, b, c, d, e, f := q[0], q[1], q[2], q[3], q[4], q[5]
+		a, f = cx(a, f)
+		b, d = cx(b, d)
+		c, e = cx(c, e)
+		b, c = cx(b, c)
+		d, e = cx(d, e)
+		a, d = cx(a, d)
+		c, f = cx(c, f)
+		a, b = cx(a, b)
+		c, d = cx(c, d)
+		e, f = cx(e, f)
+		b, c = cx(b, c)
+		d, e = cx(d, e)
+		*(*[6]float64)(s) = [6]float64{a, b, c, d, e, f}
+		return s
+	case 7:
+		q := (*[7]float64)(x)
+		a, b, c, d, e, f, g := q[0], q[1], q[2], q[3], q[4], q[5], q[6]
+		a, g = cx(a, g)
+		c, d = cx(c, d)
+		e, f = cx(e, f)
+		a, c = cx(a, c)
+		b, e = cx(b, e)
+		d, g = cx(d, g)
+		a, b = cx(a, b)
+		c, f = cx(c, f)
+		d, e = cx(d, e)
+		b, c = cx(b, c)
+		e, g = cx(e, g)
+		c, d = cx(c, d)
+		e, f = cx(e, f)
+		b, c = cx(b, c)
+		d, e = cx(d, e)
+		f, g = cx(f, g)
+		*(*[7]float64)(s) = [7]float64{a, b, c, d, e, f, g}
+		return s
+	case 8:
+		q := (*[8]float64)(x)
+		a, b, c, d, e, f, g, h := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
+		a, c = cx(a, c)
+		b, d = cx(b, d)
+		e, g = cx(e, g)
+		f, h = cx(f, h)
+		a, e = cx(a, e)
+		b, f = cx(b, f)
+		c, g = cx(c, g)
+		d, h = cx(d, h)
+		a, b = cx(a, b)
+		c, d = cx(c, d)
+		e, f = cx(e, f)
+		g, h = cx(g, h)
+		c, e = cx(c, e)
+		d, f = cx(d, f)
+		b, e = cx(b, e)
+		d, g = cx(d, g)
+		b, c = cx(b, c)
+		d, e = cx(d, e)
+		f, g = cx(f, g)
+		*(*[8]float64)(s) = [8]float64{a, b, c, d, e, f, g, h}
 		return s
 	}
+	copy(s, x)
 	if len(s) <= insertionSortMax {
 		insertionSort(s)
 	} else {
@@ -252,19 +331,73 @@ func checkArgs(x []float64, t float64) {
 	}
 }
 
+// net evaluates one net of len(x) >= 1 pins in one pass: the levels (in
+// closed form for two pins, from the sorted scratch copy otherwise), then
+// a single sweep over x in input order that sums the envelope's squared
+// distances and, when g is non-nil, writes w*dW_e^t/dx_i into g[i]. inv is
+// 1/t. With w = 1 the gradient is the unscaled one, since 1*y is exact.
+// The returned Result carries the envelope value and the levels.
+func (ev *Evaluator) net(x []float64, t, inv, w float64, g []float64) Result {
+	var r Result
+	switch len(x) {
+	case 1:
+		ev.count(true)
+		if g != nil {
+			g[0] = 0
+		}
+		return Result{Tau1: x[0], Tau2: x[0], Degenerate: true}
+	case 2:
+		r = levels2(x[0], x[1], t)
+	default:
+		r = Levels(ev.sortedCopy(x), t)
+	}
+	ev.count(r.Degenerate)
+	if g != nil {
+		g = g[:len(x)]
+	}
+	ss := 0.0
+	if r.Degenerate {
+		// prox = mean vector; W_e(mean vector) = 0.
+		m := r.Tau1
+		for i, v := range x {
+			d := v - m
+			ss += d * d
+			if g != nil {
+				g[i] = w * (d * inv)
+			}
+		}
+		r.Value = ss / (2 * t)
+		return r
+	}
+	for i, v := range x {
+		switch {
+		case v > r.Tau2:
+			d := v - r.Tau2
+			ss += d * d
+			if g != nil {
+				g[i] = w * (d * inv)
+			}
+		case v < r.Tau1:
+			d := r.Tau1 - v
+			ss += d * d
+			if g != nil {
+				g[i] = w * ((v - r.Tau1) * inv)
+			}
+		default:
+			if g != nil {
+				g[i] = 0
+			}
+		}
+	}
+	r.Value = (r.Tau2 - r.Tau1) + ss/(2*t)
+	return r
+}
+
 // Envelope returns the Moreau envelope W_e^t(x) of the net HPWL at the
 // (unsorted) coordinates x.
 func (ev *Evaluator) Envelope(x []float64, t float64) float64 {
 	checkArgs(x, t)
-	if len(x) == 1 {
-		ev.count(true)
-		return 0
-	}
-	s := ev.sortedCopy(x)
-	r := Levels(s, t)
-	ev.count(r.Degenerate)
-	envelopeFromLevels(x, t, &r)
-	return r.Value
+	return ev.net(x, t, 1/t, 1, nil).Value
 }
 
 // EnvelopeGrad computes the envelope value and, when grad is non-nil, writes
@@ -272,39 +405,7 @@ func (ev *Evaluator) Envelope(x []float64, t float64) float64 {
 // full Result including the water levels.
 func (ev *Evaluator) EnvelopeGrad(x []float64, t float64, grad []float64) Result {
 	checkArgs(x, t)
-	if len(x) == 1 {
-		ev.count(true)
-		if grad != nil {
-			grad[0] = 0
-		}
-		return Result{Tau1: x[0], Tau2: x[0], Degenerate: true}
-	}
-	s := ev.sortedCopy(x)
-	r := Levels(s, t)
-	ev.count(r.Degenerate)
-	envelopeFromLevels(x, t, &r)
-	if grad != nil {
-		if r.Degenerate {
-			m := r.Tau1
-			inv := 1 / t
-			for i, v := range x {
-				grad[i] = (v - m) * inv
-			}
-		} else {
-			inv := 1 / t
-			for i, v := range x {
-				switch {
-				case v > r.Tau2:
-					grad[i] = (v - r.Tau2) * inv
-				case v < r.Tau1:
-					grad[i] = (v - r.Tau1) * inv
-				default:
-					grad[i] = 0
-				}
-			}
-		}
-	}
-	return r
+	return ev.net(x, t, 1/t, 1, grad)
 }
 
 // GradBatch evaluates the paper's wirelength model W_e^t + t for a
@@ -314,9 +415,10 @@ func (ev *Evaluator) EnvelopeGrad(x []float64, t float64, grad []float64) Result
 // coords[starts[b]-starts[0] : starts[b+1]-starts[0]]; weights[b] scales net
 // b's contribution. The return value is sum_b weights[b]*(W_e^t(x_b)+t),
 // and when grads is non-nil (same length as coords) grads[i] is overwritten
-// with weights[b]*dW_e^t/dx_i — the per-element arithmetic is identical to
-// looping EnvelopeGrad net by net and scaling afterwards, so results are
-// bit-equal to the per-net path. Empty nets contribute nothing. Batching
+// with weights[b]*dW_e^t/dx_i. Each net runs the one per-net body that
+// EnvelopeGrad runs, with the weight applied to each gradient entry as it
+// is written, so the results are bit-equal to looping EnvelopeGrad net by
+// net and scaling afterwards. Empty nets contribute nothing. Batching
 // hoists the argument checks and the smoothing-parameter reciprocal out of
 // the per-net loop and keeps every access on the contiguous lane.
 func (ev *Evaluator) GradBatch(starts []int32, coords []float64, t float64, weights []float64, grads []float64) float64 {
@@ -338,42 +440,12 @@ func (ev *Evaluator) GradBatch(starts []int32, coords []float64, t float64, weig
 		if s1 == s0 {
 			continue
 		}
+		var g []float64
+		if grads != nil {
+			g = grads[s0:s1]
+		}
 		w := weights[b]
-		x := coords[s0:s1]
-		if len(x) == 1 {
-			ev.count(true)
-			if grads != nil {
-				grads[s0] = 0
-			}
-			total += w * t
-			continue
-		}
-		s := ev.sortedCopy(x)
-		r := Levels(s, t)
-		ev.count(r.Degenerate)
-		envelopeFromLevels(x, t, &r)
-		total += w * (r.Value + t)
-		if grads == nil {
-			continue
-		}
-		g := grads[s0:s1]
-		if r.Degenerate {
-			m := r.Tau1
-			for i, v := range x {
-				g[i] = w * ((v - m) * inv)
-			}
-		} else {
-			for i, v := range x {
-				switch {
-				case v > r.Tau2:
-					g[i] = w * ((v - r.Tau2) * inv)
-				case v < r.Tau1:
-					g[i] = w * ((v - r.Tau1) * inv)
-				default:
-					g[i] = 0
-				}
-			}
-		}
+		total += w * (ev.net(coords[s0:s1], t, inv, w, g).Value + t)
 	}
 	return total
 }
@@ -385,15 +457,7 @@ func (ev *Evaluator) Prox(x []float64, t float64, u []float64) Result {
 	if len(u) != len(x) {
 		panic("moreau: prox output length mismatch")
 	}
-	if len(x) == 1 {
-		ev.count(true)
-		u[0] = x[0]
-		return Result{Tau1: x[0], Tau2: x[0], Degenerate: true}
-	}
-	s := ev.sortedCopy(x)
-	r := Levels(s, t)
-	ev.count(r.Degenerate)
-	envelopeFromLevels(x, t, &r)
+	r := ev.net(x, t, 1/t, 1, nil)
 	if r.Degenerate {
 		for i := range u {
 			u[i] = r.Tau1

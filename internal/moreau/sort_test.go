@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// TestSortFastPathMatchesGeneric checks the insertion-sort fast path against
-// sort.Float64s across degrees spanning the insertionSortMax threshold,
-// including duplicate-heavy and pre-sorted inputs.
+// TestSortFastPathMatchesGeneric checks sortedCopy's sorting networks and
+// insertion-sort fast path against sort.Float64s across degrees spanning
+// the insertionSortMax threshold, including duplicate-heavy and pre-sorted
+// inputs, and runs every 0/1 input through each network.
 func TestSortFastPathMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ev := NewEvaluator(8)
@@ -28,14 +29,35 @@ func TestSortFastPathMatchesGeneric(t *testing.T) {
 					x[i] = float64(n - i) // reversed
 				}
 			}
-			want := append([]float64(nil), x...)
-			sort.Float64s(want)
-			got := ev.sortedCopy(x)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d trial=%d: sortedCopy[%d] = %v, sort.Float64s = %v", n, trial, i, got[i], want[i])
-				}
+			checkSorted(t, ev, x, "trial", trial)
+		}
+	}
+	// Every 0/1 input at each degree the sorting networks cover: by the 0-1
+	// principle, a comparator network that sorts all of them sorts every
+	// input.
+	for n := 1; n <= 8; n++ {
+		for bits := 0; bits < 1<<n; bits++ {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = float64(bits >> i & 1)
 			}
+			checkSorted(t, ev, x, "bits", bits)
+		}
+	}
+}
+
+// checkSorted compares sortedCopy(x) with sort.Float64s on a copy of x.
+func checkSorted(t *testing.T, ev *Evaluator, x []float64, label string, id int) {
+	t.Helper()
+	want := append([]float64(nil), x...)
+	sort.Float64s(want)
+	got := ev.sortedCopy(x)
+	if len(got) != len(want) {
+		t.Fatalf("n=%d %s=%d: sortedCopy returned %d entries", len(x), label, id, len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("n=%d %s=%d: sortedCopy[%d] = %v, sort.Float64s = %v", len(x), label, id, i, got[i], want[i])
 		}
 	}
 }
@@ -55,11 +77,12 @@ func TestEnvelopeGradSortPathEquivalence(t *testing.T) {
 			}
 			tSmooth := math.Abs(rng.NormFloat64())*4 + 1e-3
 
-			// Reference: generic sort, then the same level/envelope math.
+			// Reference: generic sort, then the same level math and the
+			// envelope in a separate pass.
 			s := append([]float64(nil), x...)
 			sort.Float64s(s)
 			want := Levels(s, tSmooth)
-			envelopeFromLevels(x, tSmooth, &want)
+			refEnvelopeFromLevels(x, tSmooth, &want)
 			wantGrad := make([]float64, n)
 			refGradFromLevels(x, tSmooth, want, wantGrad)
 
@@ -75,6 +98,33 @@ func TestEnvelopeGradSortPathEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refEnvelopeFromLevels finishes the envelope value from resolved levels
+// in its own pass over x, as the kernel did before it summed the squared
+// distances inside its gradient loop.
+func refEnvelopeFromLevels(x []float64, t float64, r *Result) {
+	if r.Degenerate {
+		m := r.Tau1
+		ss := 0.0
+		for _, v := range x {
+			d := v - m
+			ss += d * d
+		}
+		r.Value = ss / (2 * t)
+		return
+	}
+	ss := 0.0
+	for _, v := range x {
+		if v > r.Tau2 {
+			d := v - r.Tau2
+			ss += d * d
+		} else if v < r.Tau1 {
+			d := r.Tau1 - v
+			ss += d * d
+		}
+	}
+	r.Value = (r.Tau2 - r.Tau1) + ss/(2*t)
 }
 
 // refGradFromLevels recomputes Corollary 1's gradient from resolved levels.

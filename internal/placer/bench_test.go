@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/moreau"
 	"repro/internal/wirelength"
 )
 
@@ -38,6 +39,40 @@ func BenchmarkEvalGrad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		en.eval(alt[i%2], grad)
 	}
+}
+
+// BenchmarkWirelengthGradGP measures ME's whole-design WirelengthGrad at a
+// mid-GP state, where most nets take the degenerate branch: the test design
+// placed for 300 iterations at DefaultConfig, evaluated at its last
+// iteration's t. BenchmarkEvalGrad runs at the cold engine, where every net
+// is degenerate, and wirelength's BenchmarkWirelengthGrad at a random
+// placement, where few are. The timed model counts nothing, as in an
+// untraced run; a second, counting model reports the degenerate share.
+func BenchmarkWirelengthGradGP(b *testing.B) {
+	d := testDesign(b, 2000, 2)
+	cfg := DefaultConfig(wirelength.NewMoreau())
+	cfg.MaxIters = 300
+	var last TrajectoryPoint
+	cfg.OnIteration = func(pt TrajectoryPoint) bool { last = pt; return true }
+	if _, err := Place(d, cfg); err != nil {
+		b.Fatal(err)
+	}
+	gx, gy := make([]float64, d.NumCells()), make([]float64, d.NumCells())
+	var stats moreau.Stats
+	counted, err := wirelength.New("ME", &stats)
+	if err != nil {
+		b.Fatal(err)
+	}
+	counted.WirelengthGrad(d, last.Param, gx, gy)
+	m := wirelength.NewMoreau()
+	m.WirelengthGrad(d, last.Param, gx, gy) // grows the chunk lanes
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.WirelengthGrad(d, last.Param, gx, gy)
+	}
+	b.ReportMetric(float64(stats.Degenerate.Load())/float64(stats.Evals.Load()), "degenerate_ratio")
 }
 
 // BenchmarkEvalGradReused measures an evaluation at the kept point, which

@@ -376,7 +376,7 @@ func newEngine(d *netlist.Design, cfg Config) (*engine, error) {
 	en.elec.Obs = cfg.Obs
 
 	// Validate has rejected unknown schedules; "" picks by the model.
-	if cfg.Schedule == "tangent" || (cfg.Schedule == "" && cfg.Model.ParamKind() == wirelength.ParamMoreauT) {
+	if cfg.scheduleName() == "tangent" {
 		en.schedule = TSchedule{T0: t0, Delta: delta, BinW: en.grid.BinW, BinH: en.grid.BinH}.At
 	} else {
 		en.schedule = GammaSchedule{Gamma0: gamma0, BinW: en.grid.BinW, BinH: en.grid.BinH}.At

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/optimizer"
+	"repro/internal/wirelength"
 )
 
 // CheckpointConfig enables periodic crash-safe snapshots of a run. Snapshots
@@ -41,6 +42,19 @@ func (cfg *Config) optimizerName() string {
 	return cfg.Optimizer
 }
 
+// scheduleName resolves the Config.Schedule enum: "" picks by the model's
+// ParamKind, the paper's tangent schedule for the Moreau model and the
+// ePlace gamma schedule otherwise.
+func (cfg *Config) scheduleName() string {
+	if cfg.Schedule != "" {
+		return cfg.Schedule
+	}
+	if cfg.Model.ParamKind() == wirelength.ParamMoreauT {
+		return "tangent"
+	}
+	return "gamma"
+}
+
 // fingerprint pins the run setup a snapshot belongs to. Every field affects
 // the trajectory, so resume is refused unless all of them match.
 func (en *engine) fingerprint() checkpoint.Fingerprint {
@@ -63,6 +77,8 @@ func (en *engine) fingerprint() checkpoint.Fingerprint {
 		RegionXH:      d.Region.XH,
 		RegionYH:      d.Region.YH,
 		FreezeHash:    FreezeHash(en.cfg.Freeze),
+		Schedule:      en.cfg.scheduleName(),
+		Precondition:  en.cfg.Precondition,
 	}
 }
 

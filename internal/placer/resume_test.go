@@ -227,6 +227,57 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	})
 }
 
+// TestResumeMatchesScheduleAndPrecondition the smoothing schedule and the
+// preconditioner both change the trajectory, so a snapshot resumes only a
+// run that resolves the same schedule and preconditions the same way. An
+// empty Schedule resolves by the model: a default ME run and a "tangent"
+// run are the same setup.
+func TestResumeMatchesScheduleAndPrecondition(t *testing.T) {
+	me := func(schedule string, precondition bool, dir string) Config {
+		cfg := DefaultConfig(wirelength.NewMoreau())
+		cfg.MaxIters = 40
+		cfg.StopOverflow = 1e-9
+		cfg.GridX, cfg.GridY = 16, 16
+		cfg.Schedule = schedule
+		cfg.Precondition = precondition
+		cfg.ResumeDir = dir
+		return cfg
+	}
+	checkpointed := func(schedule string) string {
+		dir := t.TempDir()
+		cfg := me(schedule, false, "")
+		cfg.MaxIters = 30
+		cfg.Checkpoint = CheckpointConfig{Every: 10, Dir: dir}
+		if _, err := Place(testDesign(t, 60, 0), cfg); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	gamma := checkpointed("gamma")
+	def := checkpointed("")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"default schedule on gamma", me("", false, gamma), 0},
+		{"gamma preconditioned on gamma", me("gamma", true, gamma), 0},
+		{"gamma on gamma", me("gamma", false, gamma), 30},
+		{"tangent on default", me("tangent", false, def), 30},
+		{"gamma on default", me("gamma", false, def), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Place(testDesign(t, 60, 0), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ResumedFrom != tc.want {
+				t.Errorf("ResumedFrom = %d, want %d", res.ResumedFrom, tc.want)
+			}
+		})
+	}
+}
+
 // TestCheckpointOnCancel a cancelled run leaves a snapshot of its freshest
 // state behind, and that snapshot resumes cleanly.
 func TestCheckpointOnCancel(t *testing.T) {
