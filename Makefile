@@ -3,7 +3,7 @@ GO ?= go
 # Each PR writes its own trajectory file so earlier ones stay comparable.
 BENCH ?= BENCH_PR16.json
 
-.PHONY: check fmt vet build test harness race fuzz-seeds fuzz bench cover loc placerd trace-demo fleet-demo chaos-demo placertop-demo golden
+.PHONY: check fmt vet build test harness race fuzz-seeds fuzz bench cover loc loc-delta placerd trace-demo fleet-demo chaos-demo placertop-demo golden
 
 check: fmt vet build test harness race fuzz-seeds
 
@@ -87,6 +87,15 @@ cover:
 # excluded: the size figure each change reports next to its benchmark.
 loc:
 	@git ls-files -- '*.go' ':!:perfbench/**' ':!:*_test.go' | xargs cat | wc -l
+
+# loc-delta prints the non-test Go lines (perfbench/ excluded) added, removed
+# and net between BASE and the working tree, e.g. `make loc-delta
+# BASE=HEAD^1`. Like loc, it counts a new file once git tracks it. An unknown
+# BASE fails with git's error instead of printing zeros.
+BASE ?= HEAD^1
+loc-delta:
+	@stat=$$(git diff --numstat $(BASE) -- '*.go' ':!:perfbench/**' ':!:*_test.go') && \
+		echo "$$stat" | awk '{ a += $$1; r += $$2 } END { printf "+%d -%d net %+d non-test Go lines since $(BASE)\n", a, r, a - r }'
 
 placerd:
 	$(GO) build -o bin/placerd ./cmd/placerd

@@ -61,7 +61,7 @@ func main() {
 		design  = flag.String("design", "", "design name within -suite (e.g. newblue1)")
 		scale   = flag.Float64("scale", 0.01, "suite scale factor")
 		cells   = flag.Int("cells", 0, "generate an ad-hoc synthetic design with this many cells")
-		model   = flag.String("model", "ME", "wirelength model: LSE, WA, BiG_CHKS, ME, HPWL")
+		model   = flag.String("model", "ME", "wirelength model: LSE, WA, BiG_CHKS, BiG_WA, ME, HPWL")
 		iters   = flag.Int("iters", placer.DefaultMaxIters, "max global placement iterations")
 		overfl  = flag.Float64("overflow", placer.DefaultStopOverflow, "global placement stop overflow")
 		seed    = flag.Int64("seed", 1, "random seed")

@@ -21,7 +21,7 @@ import (
 // FlowConfig controls a full placement flow.
 type FlowConfig struct {
 	// ModelName selects the wirelength model: "LSE", "WA", "BiG_CHKS",
-	// "ME" (the paper's Moreau envelope), or "HPWL".
+	// "BiG_WA", "ME" (the paper's Moreau envelope), or "HPWL".
 	ModelName string
 	// GP overrides the global placement configuration; when the Model
 	// field is nil it is filled in from ModelName.

@@ -37,10 +37,18 @@ type Agent struct {
 	Interval time.Duration
 	// Client is the HTTP client (nil: 5s timeout default).
 	Client *http.Client
-	// Log receives agent events; nil disables logging.
+	// Log receives agent events; nil means obs.Nop.
 	Log *obs.Logger
 
 	registered atomic.Bool
+}
+
+// logger returns a.Log, or obs.Nop when it is nil.
+func (a *Agent) logger() *obs.Logger {
+	if a.Log == nil {
+		return obs.Nop
+	}
+	return a.Log
 }
 
 // Registered reports whether the most recent heartbeat was acknowledged —
@@ -70,12 +78,12 @@ func (a *Agent) Run(ctx context.Context) {
 		if err := a.beat(ctx, client); err != nil {
 			delay = backoff.Next()
 			if a.registered.Swap(false) {
-				a.Log.Warn("heartbeat failed, deregistered", "err", err, "retry_in", delay)
+				a.logger().Warn("heartbeat failed, deregistered", "err", err, "retry_in", delay)
 			}
 		} else {
 			backoff.Reset()
 			if !a.registered.Swap(true) {
-				a.Log.Info("registered with coordinator", "coordinator", a.Coordinator, "id", a.ID)
+				a.logger().Info("registered with coordinator", "coordinator", a.Coordinator, "id", a.ID)
 			}
 		}
 		timer.Reset(delay)
@@ -111,7 +119,7 @@ func (a *Agent) Deregister(ctx context.Context) error {
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
 		return fmt.Errorf("fleet: deregister: %w", &retry.StatusError{Code: resp.StatusCode})
 	}
-	a.Log.Info("deregistered from coordinator", "coordinator", a.Coordinator, "id", a.ID)
+	a.logger().Info("deregistered from coordinator", "coordinator", a.Coordinator, "id", a.ID)
 	return nil
 }
 

@@ -45,7 +45,7 @@ type Config struct {
 	Admission *Admission
 	// Telemetry receives fleet metrics; nil allocates a private collector.
 	Telemetry *telemetry.FleetCollector
-	// Log receives coordinator events; nil disables logging.
+	// Log receives coordinator events; nil means obs.Nop.
 	Log *obs.Logger
 	// Client is the HTTP client for worker control calls (submit, status,
 	// cancel); nil uses a 10-second-timeout default. Trajectory streaming
@@ -195,6 +195,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
+	}
+	if cfg.Log == nil {
+		cfg.Log = obs.Nop
 	}
 	c := &Coordinator{
 		cfg:      cfg,
@@ -765,19 +768,24 @@ func (c *Coordinator) Status() Status {
 	pending := len(c.pending)
 	c.mu.Unlock()
 	return Status{
-		Workers: c.reg.Snapshot(),
-		Pending: pending,
-		Counters: Counters{
-			Submitted:    c.tel.JobsSubmitted.Value(),
-			Rejected:     c.tel.JobsRejected.Value(),
-			Assigned:     c.tel.JobsAssigned.Value(),
-			Rerouted:     c.tel.JobsRerouted.Value(),
-			Stolen:       c.tel.JobsStolen.Value(),
-			AffinityHits: c.tel.AffinityHits.Value(),
-			ParentRoutes: c.tel.ParentRoutes.Value(),
-			Heartbeats:   c.tel.Heartbeats.Value(),
-			Recovered:    c.tel.JobsRecovered.Value(),
-		},
+		Workers:  c.reg.Snapshot(),
+		Pending:  pending,
+		Counters: c.counters(),
+	}
+}
+
+// counters reads the routing counters from the fleet telemetry.
+func (c *Coordinator) counters() Counters {
+	return Counters{
+		Submitted:    c.tel.JobsSubmitted.Value(),
+		Rejected:     c.tel.JobsRejected.Value(),
+		Assigned:     c.tel.JobsAssigned.Value(),
+		Rerouted:     c.tel.JobsRerouted.Value(),
+		Stolen:       c.tel.JobsStolen.Value(),
+		AffinityHits: c.tel.AffinityHits.Value(),
+		ParentRoutes: c.tel.ParentRoutes.Value(),
+		Heartbeats:   c.tel.Heartbeats.Value(),
+		Recovered:    c.tel.JobsRecovered.Value(),
 	}
 }
 

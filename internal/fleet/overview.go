@@ -101,17 +101,7 @@ func (c *Coordinator) Overview() Overview {
 		GeneratedAt: now,
 		Tenants:     c.adm.Snapshot(),
 		JobStates:   make(map[string]int),
-		Counters: Counters{
-			Submitted:    c.tel.JobsSubmitted.Value(),
-			Rejected:     c.tel.JobsRejected.Value(),
-			Assigned:     c.tel.JobsAssigned.Value(),
-			Rerouted:     c.tel.JobsRerouted.Value(),
-			Stolen:       c.tel.JobsStolen.Value(),
-			AffinityHits: c.tel.AffinityHits.Value(),
-			ParentRoutes: c.tel.ParentRoutes.Value(),
-			Heartbeats:   c.tel.Heartbeats.Value(),
-			Recovered:    c.tel.JobsRecovered.Value(),
-		},
+		Counters:    c.counters(),
 	}
 	for _, ws := range c.reg.Snapshot() {
 		age := now.Sub(ws.LastSeen).Seconds()

@@ -108,8 +108,19 @@ func (b *Builder) Build() (*Design, error) {
 	}
 	d.NetStart[len(b.nets)] = int32(len(d.Pins))
 
-	// Transposed cell -> pin index (counting sort by cell).
-	n := len(b.cells)
+	d.indexCellPins()
+
+	if err := d.Validate(); err != nil {
+		return nil, fmt.Errorf("netlist build: %w", err)
+	}
+	d.PinLanes() // build the SoA pin lanes eagerly while the caches are warm
+	return d, nil
+}
+
+// indexCellPins builds the transposed cell -> pin index (CellPinStart,
+// CellPins) from d.Pins by a counting sort on the cell.
+func (d *Design) indexCellPins() {
+	n := len(d.Cells)
 	d.CellPinStart = make([]int32, n+1)
 	for _, p := range d.Pins {
 		d.CellPinStart[p.Cell+1]++
@@ -124,12 +135,6 @@ func (b *Builder) Build() (*Design, error) {
 		d.CellPins[d.CellPinStart[c]+fill[c]] = int32(pi)
 		fill[c]++
 	}
-
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("netlist build: %w", err)
-	}
-	d.PinLanes() // build the SoA pin lanes eagerly while the caches are warm
-	return d, nil
 }
 
 // MustBuild is Build but panics on error; intended for tests and generators

@@ -350,22 +350,7 @@ func (d *Design) NetSubset(keep []bool) *Design {
 		}
 		sub.NetStart = append(sub.NetStart, int32(len(sub.Pins)))
 	}
-	// Transposed cell -> pin index (counting sort by cell), as in Build.
-	n := len(sub.Cells)
-	sub.CellPinStart = make([]int32, n+1)
-	for _, p := range sub.Pins {
-		sub.CellPinStart[p.Cell+1]++
-	}
-	for c := 0; c < n; c++ {
-		sub.CellPinStart[c+1] += sub.CellPinStart[c]
-	}
-	sub.CellPins = make([]int32, len(sub.Pins))
-	fill := make([]int32, n)
-	for pi, p := range sub.Pins {
-		c := p.Cell
-		sub.CellPins[sub.CellPinStart[c]+fill[c]] = int32(pi)
-		fill[c]++
-	}
+	sub.indexCellPins()
 	sub.PinLanes()
 	return sub
 }

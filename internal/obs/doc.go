@@ -1,13 +1,14 @@
-// Package obs is the placer's observability layer: a zero-dependency
-// structured logger, a span tracer, and a per-run metrics registry,
-// bundled into an Observer that threads through the whole stack (engine,
-// flow, service, CLIs).
+// Package obs is the placer's observability layer: a structured logger
+// (the standard library's log/slog), a span tracer, and a per-run metrics
+// registry, bundled into an Observer that threads through the whole stack
+// (engine, flow, service, CLIs).
 //
 // The three pieces compose but are independently optional:
 //
-//   - Logger: leveled key/value logging with text and JSON encoders and
-//     context.Context propagation. A nil *Logger is a valid no-op sink, so
-//     call sites never need nil checks.
+//   - Logger: a *slog.Logger writing text or JSON records (New). A nil
+//     logger field means Nop, which drops every record: Observer.Logger
+//     and the service and fleet constructors substitute it, so call sites
+//     never need nil checks.
 //
 //   - Tracer: named spans with per-iteration tagging. A run exports as
 //     Chrome trace_event JSON (chrome://tracing, Perfetto) or as a JSONL

@@ -4,57 +4,48 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
-// fixedClock pins the logger timestamp for exact output assertions.
-func fixedClock(l *Logger) {
-	ts := time.Date(2026, 8, 6, 10, 30, 0, 123e6, time.UTC)
-	l.now = func() time.Time { return ts }
-}
-
-func TestTextFormat(t *testing.T) {
-	var sb strings.Builder
-	l, err := New(&sb, "text", LevelDebug)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixedClock(l)
-	l.Info("gp: starting", "design", "adhoc64", "workers", 4, "overflow", 0.5, "note", "two words")
-	got := sb.String()
-	// The message is quoted by the same rule as values; "gp: starting"
-	// contains a space, so it is quoted.
-	want := `2026-08-06T10:30:00.123Z INFO  "gp: starting" design=adhoc64 workers=4 overflow=0.5 note="two words"` + "\n"
-	if got != want {
-		t.Errorf("text record:\n got %q\nwant %q", got, want)
-	}
-}
-
+// TestJSONFormat checks that every JSON record is one line that parses and
+// carries time, level, msg, the With-bound and the call's attributes, a NaN
+// value included.
 func TestJSONFormat(t *testing.T) {
 	var sb strings.Builder
 	l, err := New(&sb, "json", LevelDebug)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixedClock(l)
-	l.Warn("drain", "budget", "30s", "jobs", 2, "err", errors.New("boom"))
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &rec); err != nil {
-		t.Fatalf("JSON record does not parse: %v\n%s", err, sb.String())
+	jl := l.With("job", "job-000007")
+	jl.Warn("drain", "budget", "30s", "jobs", 2, "err", errors.New("boom"))
+	jl.Info("gp: starting", "overflow", math.NaN())
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("wrote %d lines, want 2:\n%s", len(lines), sb.String())
 	}
-	for k, want := range map[string]any{
-		"ts":     "2026-08-06T10:30:00.123Z",
-		"level":  "warn",
-		"msg":    "drain",
-		"budget": "30s",
-		"jobs":   2.0,
-		"err":    "boom",
+	for i, want := range []map[string]any{
+		{"level": "WARN", "msg": "drain", "job": "job-000007", "budget": "30s", "jobs": 2.0, "err": "boom"},
+		{"level": "INFO", "msg": "gp: starting", "job": "job-000007"},
 	} {
-		if rec[k] != want {
-			t.Errorf("record[%q] = %v, want %v", k, rec[k], want)
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(lines[i]), &rec); err != nil {
+			t.Fatalf("JSON record does not parse: %v\n%s", err, lines[i])
+		}
+		if ts, ok := rec["time"].(string); !ok || ts == "" {
+			t.Errorf("record %d has no time: %s", i, lines[i])
+		}
+		for k, v := range want {
+			if rec[k] != v {
+				t.Errorf("record %d [%q] = %v, want %v", i, k, rec[k], v)
+			}
+		}
+		if i == 1 {
+			if _, ok := rec["overflow"]; !ok {
+				t.Errorf("NaN attribute dropped: %s", lines[i])
+			}
 		}
 	}
 }
@@ -75,16 +66,11 @@ func TestLevelFiltering(t *testing.T) {
 	if strings.Contains(sb.String(), "hidden") {
 		t.Errorf("suppressed levels leaked:\n%s", sb.String())
 	}
-	l.SetLevel(LevelDebug)
-	if !l.Enabled(LevelDebug) {
-		t.Error("SetLevel(debug) did not enable debug records")
-	}
 }
 
 func TestWithBindsAttrs(t *testing.T) {
 	var sb strings.Builder
 	l, _ := New(&sb, "text", LevelInfo)
-	fixedClock(l)
 	jl := l.With("job", "job-000007")
 	jl.Info("started", "model", "ME")
 	if !strings.Contains(sb.String(), "job=job-000007 model=ME") {
@@ -97,29 +83,24 @@ func TestWithBindsAttrs(t *testing.T) {
 	}
 }
 
+// TestNilLoggerIsSafe checks Nop, the logger a nil logger field stands for:
+// it enables no level, before or after With, and a nil Observer and an
+// Observer without Log both return it.
 func TestNilLoggerIsSafe(t *testing.T) {
-	var l *Logger
-	l.Debug("x")
-	l.Info("x", "k", "v")
-	l.Warn("x")
-	l.Error("x")
-	l.SetLevel(LevelDebug)
-	if l.Enabled(LevelError) {
-		t.Error("nil logger reports enabled")
+	for _, l := range []*Logger{Nop, Nop.With("k", "v")} {
+		for _, lv := range []Level{LevelDebug, LevelInfo, LevelWarn, LevelError} {
+			if l.Enabled(context.Background(), lv) {
+				t.Errorf("Nop enables %v", lv)
+			}
+		}
+		l.Error("x", "k", "v")
 	}
-	if l.With("k", "v") != nil {
-		t.Error("nil logger With != nil")
+	var nilObs *Observer
+	if nilObs.Logger() != Nop {
+		t.Error("nil Observer's Logger is not Nop")
 	}
-}
-
-func TestContextPropagation(t *testing.T) {
-	if FromContext(context.Background()) != nil {
-		t.Error("FromContext on empty context != nil")
-	}
-	l, _ := New(&strings.Builder{}, "text", LevelInfo)
-	ctx := IntoContext(context.Background(), l)
-	if FromContext(ctx) != l {
-		t.Error("FromContext did not return the attached logger")
+	if (&Observer{}).Logger() != Nop {
+		t.Error("Logger of an Observer without Log is not Nop")
 	}
 }
 
@@ -138,8 +119,8 @@ func TestParseLevel(t *testing.T) {
 	}
 }
 
-// TestConcurrentLogging is meaningful under -race: shared sink, shared
-// level, derived loggers.
+// TestConcurrentLogging is meaningful under -race: shared sink, derived
+// loggers.
 func TestConcurrentLogging(t *testing.T) {
 	var sb safeBuilder
 	l, _ := New(&sb, "json", LevelDebug)
@@ -151,9 +132,6 @@ func TestConcurrentLogging(t *testing.T) {
 			child := l.With("worker", i)
 			for j := 0; j < 200; j++ {
 				child.Info("tick", "j", j)
-				if j%50 == 0 {
-					l.SetLevel(LevelInfo)
-				}
 			}
 		}(i)
 	}

@@ -50,10 +50,11 @@ type Observer struct {
 	Metrics *Metrics
 }
 
-// Logger returns the observer's logger; nil-safe (a nil logger no-ops).
+// Logger returns the observer's logger, or Nop when the observer or its Log
+// is nil.
 func (o *Observer) Logger() *Logger {
-	if o == nil {
-		return nil
+	if o == nil || o.Log == nil {
+		return Nop
 	}
 	return o.Log
 }

@@ -3,6 +3,7 @@ package placer
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sync/atomic"
@@ -144,6 +145,40 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resA.Trajectory, resB.Trajectory) {
 		t.Error("trajectory diverged under observation")
+	}
+}
+
+// TestStartRecordCarriesGrid pins the one "gp: starting" record a JSON
+// logger at info receives per run, and its grid field written as
+// "<GridX>x<GridY>": the benchmark's traced run reads its grid fact there.
+func TestStartRecordCarriesGrid(t *testing.T) {
+	var buf bytes.Buffer
+	logger, err := obs.New(&buf, "json", obs.LevelInfo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig(wirelength.NewWA())
+	cfg.MaxIters = 5
+	cfg.GridX, cfg.GridY = 32, 16
+	cfg.Obs = &obs.Observer{Log: logger}
+	if _, err := Place(testDesign(t, 80, 0), cfg); err != nil {
+		t.Fatal(err)
+	}
+	var starts []map[string]any
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("log line is not JSON: %v\n%s", err, line)
+		}
+		if rec["msg"] == "gp: starting" {
+			starts = append(starts, rec)
+		}
+	}
+	if len(starts) != 1 {
+		t.Fatalf("%d \"gp: starting\" records, want 1:\n%s", len(starts), buf.String())
+	}
+	if got := starts[0]["grid"]; got != "32x16" {
+		t.Errorf("grid = %v, want 32x16", got)
 	}
 }
 

@@ -91,7 +91,7 @@ type Config struct {
 	Telemetry *telemetry.Collector
 	// Log receives the manager's structured log records (job lifecycle
 	// events plus the engine's own logging, tagged with the job id). Nil
-	// disables logging.
+	// means obs.Nop.
 	Log *obs.Logger
 	// TraceDir, when non-empty, enables span tracing for every job: each
 	// run exports a Chrome trace_event file <TraceDir>/<job-id>.trace.json
@@ -114,6 +114,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewCollector(obs.EnginePhases()...)
+	}
+	if c.Log == nil {
+		c.Log = obs.Nop
 	}
 	return c
 }

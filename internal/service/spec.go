@@ -19,7 +19,7 @@ import (
 // model, and optional placer/flow tuning.
 type JobSpec struct {
 	Design DesignSpec `json:"design"`
-	// Model names the wirelength model (LSE, WA, BiG_CHKS, ME, HPWL);
+	// Model names the wirelength model (LSE, WA, BiG_CHKS, BiG_WA, ME, HPWL);
 	// default "ME", the paper's Moreau-envelope model.
 	Model  string     `json:"model,omitempty"`
 	Placer PlacerSpec `json:"placer,omitempty"`

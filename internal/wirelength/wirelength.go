@@ -192,9 +192,9 @@ func (m *kernelModel) WirelengthGrad(d *netlist.Design, p float64, gradX, gradY 
 	return total
 }
 
-// ByName constructs one of the comparison models used in the paper's tables:
-// "LSE", "WA", "BiG_CHKS", "ME" (ours), or "HPWL" (exact subgradient
-// reference). The lookup is case-insensitive on these exact names.
+// ByName constructs one of the wirelength models: "LSE", "WA", "BiG_CHKS",
+// "BiG_WA", "ME" (ours), or "HPWL" (exact subgradient reference). Each name
+// is also accepted in lower case.
 func ByName(name string) (Model, error) {
 	return New(name, nil)
 }
